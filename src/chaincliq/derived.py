@@ -32,8 +32,6 @@ from .graphs import _clique_support_mask
 
 DGRAPH_FORMAT = "chaincliq-dgraph-v1"
 
-ABCD_SCAN_LIMIT = 200
-
 
 @dataclass(frozen=True)
 class DifferenceGraph:
@@ -130,46 +128,35 @@ def neighbor_counts(dg: DifferenceGraph, i: int) -> tuple[int, int]:
     return dg.left_counts[i - 1], dg.right_counts[i - 1]
 
 
-def verify_lemma_abcd(dg: DifferenceGraph, max_r: int = ABCD_SCAN_LIMIT) -> LemmaViolation | None:
+def verify_lemma_abcd(dg: DifferenceGraph) -> LemmaViolation | None:
     """Scan all a < b < c < d for edges (a, c), (b, d) without the edge (b, c).
 
     Returns None when the closure holds everywhere (always, for graphs
     built from chains), else the lexicographically first violating tuple.
-    The existence scan is quadratic; the quartic walk only runs to name
-    the first witness once a violation is known to exist. The max_r guard
-    exists because the witness walk is O(r^4).
+    One scan over bitmasks, with no size limit: the window of b holds
+    every non-neighbour c of b between b and b's highest neighbour d, so
+    (b, c) is the middle pair of a violation iff c is in that window and
+    some a < b is adjacent to c.
     """
-    r = dg.r
-    if r > max_r:
-        raise ValueError(f"r={r} exceeds the abcd scan limit {max_r}")
-    adj = dg.adj
-    found = False
-    for c0 in range(2, r):
-        below_c = adj[c0] & ((1 << c0) - 1)
-        if not below_c:
-            continue
-        for b0 in range(1, c0):
-            if adj[c0] >> b0 & 1:
-                continue
-            if not below_c & ((1 << b0) - 1):
-                continue
-            if adj[b0] >> (c0 + 1):
-                found = True
-                break
-        if found:
-            break
-    if not found:
+    r, adj = dg.r, dg.adj
+    windows = [0] * r
+    later = 0  # union of the windows of every index above b - 1
+    a0 = None
+    for b in range(r - 1, 0, -1):
+        hi = adj[b].bit_length() - 1
+        if hi > b + 1:
+            windows[b] = window = ((1 << hi) - (2 << b)) & ~adj[b]
+            later |= window
+        if adj[b - 1] & later:
+            a0 = b - 1
+    if a0 is None:
         return None
-    for a0 in range(r):
-        for b0 in range(a0 + 1, r):
-            for c0 in range(b0 + 1, r):
-                if not adj[a0] >> c0 & 1 or adj[b0] >> c0 & 1:
-                    continue
-                upper = adj[b0] >> (c0 + 1)
-                if upper:
-                    d0 = c0 + 1 + (upper & -upper).bit_length() - 1
-                    return LemmaViolation("abcd", (a0 + 1, b0 + 1, c0 + 1, d0 + 1))
-    raise AssertionError("abcd existence scan and witness walk disagree")
+    b0 = next(b for b in range(a0 + 1, r) if adj[a0] & windows[b])
+    hit = adj[a0] & windows[b0]
+    c0 = (hit & -hit).bit_length() - 1
+    upper = adj[b0] >> (c0 + 1)
+    d0 = c0 + (upper & -upper).bit_length()
+    return LemmaViolation("abcd", (a0 + 1, b0 + 1, c0 + 1, d0 + 1))
 
 
 def verify_lemma_123(dg: DifferenceGraph) -> LemmaViolation | None:

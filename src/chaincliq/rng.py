@@ -18,7 +18,9 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed {seed} outside [0, 2^64)")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64

@@ -3,13 +3,14 @@
 The objective of a chain is alpha/r where alpha is the exact independence
 number of its difference graph, recomputed from scratch for every
 candidate; witness sizes are only lower bounds and would skew the
-landscape. Three move kinds rearrange a chain without changing its
+landscape. Two move kinds rearrange a chain without changing its
 length:
 
   * resplit: shift one edge's first appearance to an adjacent step,
-  * swap: exchange the first-appearance steps of two edges,
-  * relabel: apply a vertex permutation to the whole chain (this never
-    changes alpha; it reshuffles which moves are reachable next).
+  * swap: exchange the first-appearance steps of two edges.
+
+Both moves are label-equivariant and alpha is invariant under vertex
+permutations, so a move that relabels vertices would reach nothing new.
 
 Moves that would break strict nesting are rejected, not repaired, and a
 rejected proposal still consumes budget. Runs are pure functions of
@@ -31,14 +32,13 @@ from .chains import (
     SINGLE_STEP,
     _chain_doc,
     _chain_from_doc,
-    _relabel_masks,
     random_chain,
     validate_chain,
 )
 from .derived import _difference_adjacency, build_difference_graph
 from .graphs import Graph, _bits
 from .oracle import MIS_CUTOFF, _mis_bitset, max_independent_set
-from .rng import SplitMix64
+from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
 
 RECORD_FORMAT = "chaincliq-record-v1"
@@ -56,14 +56,13 @@ class SearchConfig:
     decay: float = 0.9995
     resplit_weight: float = 1.0
     swap_weight: float = 1.0
-    relabel_weight: float = 0.25
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.initial_temperature <= 0 or self.decay <= 0:
             raise ValueError("temperature parameters must be positive")
-        weights = (self.resplit_weight, self.swap_weight, self.relabel_weight)
+        weights = (self.resplit_weight, self.swap_weight)
         if any(w < 0 for w in weights) or not any(weights):
             raise ValueError("move weights must be nonnegative and not all zero")
 
@@ -153,17 +152,13 @@ def local_search_min_ratio(
     current_alpha = alpha_of(masks)
     best_alpha = current_alpha
     best_masks = tuple(masks)
-    weights = (cfg.resplit_weight, cfg.swap_weight, cfg.relabel_weight)
-    total_weight = sum(weights)
+    total_weight = cfg.resplit_weight + cfg.swap_weight
     accepted = 0
     for step in range(cfg.budget):
-        x = rng.uniform() * total_weight
-        if x < weights[0]:
+        if rng.uniform() * total_weight < cfg.resplit_weight:
             candidate = _propose_resplit(masks, rng)
-        elif x < weights[0] + weights[1]:
-            candidate = _propose_swap(masks, rng)
         else:
-            candidate = _relabel_masks(cfg.n, masks, rng.permutation(cfg.n))
+            candidate = _propose_swap(masks, rng)
         if candidate is None:
             continue
         alpha = alpha_of(candidate)
@@ -224,7 +219,7 @@ def _record_from_doc(doc: object, verify: bool) -> SearchRecord:
         raise ValueError(f"field 'alpha' must be an integer in [1, {chain.r}]")
     try:
         ratio = Fraction(doc.get("ratio"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError("field 'ratio' must be an exact rational string") from None
     if ratio != Fraction(alpha, chain.r):
         raise ValueError(f"ratio {ratio} inconsistent with alpha {alpha} over r {chain.r}")
@@ -234,6 +229,8 @@ def _record_from_doc(doc: object, verify: bool) -> SearchRecord:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"field {field!r} must be an integer")
         meta[field] = value
+    if not 0 <= meta["seed"] <= _MASK64:
+        raise ValueError("field 'seed' must be in [0, 2^64)")
     stamp = doc.get("timestamp")
     if not isinstance(stamp, str):
         raise ValueError("field 'timestamp' must be a string")

@@ -262,6 +262,6 @@ def read_witness(text: str) -> WitnessSet:
         raise ValueError("field 'indices' contains duplicates")
     try:
         guarantee = Fraction(doc.get("guarantee"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError("field 'guarantee' must be an exact rational string") from None
     return WitnessSet(indices, method, guarantee)

@@ -63,6 +63,15 @@ class TestRandomChain:
         for a, b in zip(chain.graphs, chain.graphs[1:]):
             assert b.edge_count - a.edge_count == 1
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            random_chain(4, 5, SINGLE_STEP, seed)
+
+    def test_accepts_both_ends_of_the_seed_range(self):
+        for seed in (0, 2**64 - 1):
+            assert random_chain(4, 5, SINGLE_STEP, seed).r == 5
+
     def test_deterministic_in_seed(self):
         a = random_chain(4, 7, SINGLE_STEP, 42)
         b = random_chain(4, 7, SINGLE_STEP, 42)

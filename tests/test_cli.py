@@ -3,12 +3,18 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import pytest
+
+import chaincliq.cli as cli
 from chaincliq import (
     SINGLE_STEP,
     SearchConfig,
     alon_witness,
+    best_witness,
     build_difference_graph,
+    enumerate_chains,
     local_search_min_ratio,
     max_cliquepair_free_family,
     max_independent_set,
@@ -18,6 +24,7 @@ from chaincliq import (
     write_difference_graph,
     write_family_report,
     write_oracle_report,
+    write_record,
     write_witness,
 )
 from chaincliq.cli import run_cli
@@ -52,6 +59,11 @@ class TestGen:
         assert run_cli(["gen", "--n", "2", "--r", "5"]) == 1
         err = capsys.readouterr().err
         assert "r exceeds C(n,2)+1" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_a_domain_error(self, seed, capsys):
+        assert run_cli(["gen", "--n", "3", "--r", "2", "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_step_dist_is_a_usage_error(self):
         assert run_cli(["gen", "--n", "3", "--r", "2", "--step-dist", "zipf"]) == 2
@@ -116,6 +128,41 @@ class TestVerify:
         ]
         assert captured.err.count("PASS") == len(names)
 
+    def test_oracle_check_skipped_above_cutoff(self, tmp_path, capsys):
+        _, path = gen_chain_file(tmp_path, n=12, r=60, seed=4)
+        assert run_cli(["verify", "--in", str(path), "--cutoff", "10"]) == 0
+        captured = capsys.readouterr()
+        checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        assert checks["oracle-alpha"]["pass"] is True
+        assert checks["oracle-alpha"]["detail"].startswith("skipped:")
+        assert "SKIP oracle-alpha: skipped:" in captured.err
+
+    def test_large_r_chain_verifies(self, tmp_path, capsys):
+        _, path = gen_chain_file(tmp_path, n=30, r=250, seed=6)
+        assert run_cli(["verify", "--in", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["all_pass"] is True and summary["r"] == 250
+        assert summary["checks"][-1]["name"] == "oracle-alpha"
+        assert summary["checks"][-1]["detail"].startswith("skipped:")
+
+    def test_empty_records_file_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "records.ldjson"
+        path.write_text("")
+        assert run_cli(["verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no records" in captured.err
+
+    def test_zero_denominator_ratio_is_a_domain_error(self, tmp_path, capsys):
+        records = tmp_path / "records.ldjson"
+        assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "20",
+                        "--seed", "3", "--out", str(records)]) == 0
+        doc = json.loads(records.read_text())
+        doc["ratio"] = "1/0"
+        records.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run_cli(["verify", "--in", str(records)]) == 1
+        assert "field 'ratio'" in capsys.readouterr().err
+
     def test_verify_records_file(self, tmp_path, capsys):
         records = tmp_path / "records.ldjson"
         assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "150",
@@ -173,6 +220,13 @@ class TestSearch:
         assert doc["format"] == "chaincliq-record-v1"
         assert doc["seed"] == 5 and doc["budget"] == 50
 
+    def test_negative_seed_is_a_domain_error(self, tmp_path, capsys):
+        records = tmp_path / "records.ldjson"
+        assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "20",
+                        "--seed", "-3", "--out", str(records)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not records.exists()
+
     def test_seeded_runs_reproduce_outside_metadata(self, capsys):
         assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "100", "--seed", "8"]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -183,7 +237,76 @@ class TestSearch:
         assert first == second
 
 
+def library_outputs(tmp_path):
+    """argv and the library writer's text for each subcommand that prints one document."""
+    chain, path = gen_chain_file(tmp_path, n=4, r=6, seed=3)
+    dg = build_difference_graph(chain)
+    return {
+        "gen": (["gen", "--n", "4", "--r", "6", "--seed", "3"], write_chain(chain)),
+        "derive": (["derive", "--in", str(path)], write_difference_graph(dg)),
+        "witness": (["witness", "--in", str(path)], write_witness(best_witness(dg))),
+        "oracle": (["oracle", "--in", str(path)], write_oracle_report(max_independent_set(dg))),
+        "conjecture": (["conjecture", "--n", "3"],
+                       write_family_report(max_cliquepair_free_family(3))),
+    }
+
+
+SINGLE_DOCUMENT_COMMANDS = ["gen", "derive", "witness", "oracle", "conjecture"]
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("command", SINGLE_DOCUMENT_COMMANDS)
+    def test_stdout_is_the_library_writer_output_unparsed(self, command, tmp_path, capsys,
+                                                          monkeypatch):
+        argv, expected = library_outputs(tmp_path)[command]
+        # without --pretty the output path must not parse the document again
+        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_enumerate_stdout_is_the_library_writer_output(self, capsys):
+        assert run_cli(["enumerate", "--n", "2", "--r", "2"]) == 0
+        expected = "".join(write_chain(c) + "\n" for c in enumerate_chains(2, 2))
+        assert capsys.readouterr().out == expected
+
+    def test_search_stdout_is_the_library_writer_output(self, capsys):
+        assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "60", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        record = local_search_min_ratio(
+            SearchConfig(n=4, r=5, budget=60, seed=2), timestamp=json.loads(out)["timestamp"]
+        )
+        assert out == write_record(record) + "\n"
+
+    def test_verify_stdout_is_canonical_json(self, tmp_path, capsys):
+        _, path = gen_chain_file(tmp_path)
+        assert run_cli(["verify", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out)) + "\n"
+
+
 class TestPretty:
+    @pytest.mark.parametrize("command", SINGLE_DOCUMENT_COMMANDS)
+    def test_pretty_parses_back_to_the_same_document(self, command, tmp_path, capsys):
+        argv, expected = library_outputs(tmp_path)[command]
+        capsys.readouterr()
+        assert run_cli([*argv, "--pretty"]) == 0
+        pretty = capsys.readouterr().out
+        assert "\n  " in pretty
+        assert json.loads(pretty) == json.loads(expected)
+
+    def test_pretty_verify_and_search_parse_back(self, tmp_path, capsys):
+        _, path = gen_chain_file(tmp_path)
+        for argv in (["verify", "--in", str(path)],
+                     ["search", "--n", "4", "--r", "5", "--budget", "30", "--seed", "1"]):
+            assert run_cli(argv) == 0
+            plain = json.loads(capsys.readouterr().out)
+            assert run_cli([*argv, "--pretty"]) == 0
+            pretty = capsys.readouterr().out
+            assert "\n  " in pretty
+            plain.pop("timestamp", None)
+            assert {k: v for k, v in json.loads(pretty).items() if k != "timestamp"} == plain
+
     def test_pretty_is_indented_but_equivalent(self, tmp_path, capsys):
         chain, path = gen_chain_file(tmp_path)
         assert run_cli(["derive", "--in", str(path), "--pretty"]) == 0

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincliq import (
+    SINGLE_STEP,
     build_difference_graph,
     difference_graph_from_edges,
     edge_difference,
@@ -15,6 +16,7 @@ from chaincliq import (
     is_clique,
     make_graph,
     neighbor_counts,
+    random_chain,
     read_difference_graph,
     reverse_chain,
     validate_chain,
@@ -34,6 +36,30 @@ def difference_edges_by_definition(chain):
             if is_clique(edge_difference(chain.graphs[j], chain.graphs[i])) is not None:
                 out.add((i + 1, j + 1))
     return out
+
+
+def abcd_by_walk(dg):
+    """Oracle: walk every a < b < c in order and name the first violating (a, b, c, d)."""
+    adj, r = dg.adj, dg.r
+    for a0 in range(r):
+        for b0 in range(a0 + 1, r):
+            for c0 in range(b0 + 1, r):
+                if not adj[a0] >> c0 & 1 or adj[b0] >> c0 & 1:
+                    continue
+                upper = adj[b0] >> (c0 + 1)
+                if upper:
+                    d0 = c0 + 1 + (upper & -upper).bit_length() - 1
+                    return (a0 + 1, b0 + 1, c0 + 1, d0 + 1)
+    return None
+
+
+@st.composite
+def adjacencies(draw, max_r=16):
+    """Arbitrary graphs on up to max_r indices, most of which no chain produces."""
+    r = draw(st.integers(min_value=1, max_value=max_r))
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    return difference_graph_from_edges(r, [p for b, p in enumerate(pairs) if mask >> b & 1])
 
 
 def path_example():
@@ -108,10 +134,24 @@ class TestLemmaAbcd:
     def test_vacuous_below_four_indices(self):
         assert verify_lemma_abcd(difference_graph_from_edges(3, [(1, 2), (1, 3), (2, 3)])) is None
 
-    def test_scan_limit_guard(self):
-        dg = difference_graph_from_edges(5, [])
-        with pytest.raises(ValueError, match="scan limit"):
-            verify_lemma_abcd(dg, max_r=4)
+    @given(adjacencies())
+    def test_matches_quartic_walk(self, dg):
+        violation = verify_lemma_abcd(dg)
+        assert (None if violation is None else violation.indices) == abcd_by_walk(dg)
+
+    def test_exhaustive_against_quartic_walk_up_to_six_indices(self):
+        for r in range(1, 7):
+            pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+            for mask in range(1 << len(pairs)):
+                dg = difference_graph_from_edges(r, [pairs[b] for b in range(len(pairs)) if mask >> b & 1])
+                violation = verify_lemma_abcd(dg)
+                assert (None if violation is None else violation.indices) == abcd_by_walk(dg)
+
+    def test_no_size_limit(self):
+        chain = random_chain(30, 250, SINGLE_STEP, 11)
+        assert verify_lemma_abcd(build_difference_graph(chain)) is None
+        dg = difference_graph_from_edges(700, [(1, 699), (2, 700)])
+        assert verify_lemma_abcd(dg).indices == (1, 2, 699, 700)
 
     def test_reports_lexicographically_first_tuple(self):
         # both (1, 3, 4, 5) and (2, 3, 4, 5) violate; the scan must name the first

@@ -40,7 +40,7 @@ class TestSearchConfigValidation:
         with pytest.raises(ValueError, match="weights"):
             SearchConfig(
                 n=3, r=3, budget=1, seed=1,
-                resplit_weight=0.0, swap_weight=0.0, relabel_weight=0.0,
+                resplit_weight=0.0, swap_weight=0.0,
             )
 
 
@@ -78,6 +78,11 @@ class TestLocalSearch:
     def test_timestamp_defaults_to_utc_now(self):
         record = local_search_min_ratio(SearchConfig(n=3, r=2, budget=5, seed=0))
         assert record.timestamp.endswith("Z") and "T" in record.timestamp
+
+    @pytest.mark.parametrize("seed", [-3, 2**64 + 5])
+    def test_out_of_range_seed_is_a_value_error(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            local_search_min_ratio(SearchConfig(n=4, r=5, budget=10, seed=seed), timestamp=STAMP)
 
     def test_cutoff_guard(self):
         with pytest.raises(ValueError, match="cutoff"):
@@ -141,6 +146,23 @@ class TestRecordsFile:
         doc["ratio"] = "9/10"
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(ValueError, match="inconsistent"):
+            load_records(path)
+
+    def test_zero_denominator_ratio_rejected(self, tmp_path):
+        path = tmp_path / "records.ldjson"
+        doc = json.loads(write_record(self._record()))
+        doc["ratio"] = "1/0"
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match="line 1: field 'ratio'"):
+            load_records(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_rejected(self, tmp_path, seed):
+        path = tmp_path / "records.ldjson"
+        doc = json.loads(write_record(self._record()))
+        doc["seed"] = seed
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(ValueError, match="line 1: field 'seed'"):
             load_records(path)
 
     def test_wrong_format_tag_rejected(self, tmp_path):

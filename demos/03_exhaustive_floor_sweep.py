@@ -45,5 +45,3 @@ for r in (1, 2, 3):
 report = verify_theorem_exhaustive(3, 4)
 print("\nworst chain found for n=3, r=4 (as a report document):")
 print(write_theorem_report(report))
-print("\nSharded runs combine to the identical report:")
-print(f"  shards=1 equals shards=3: {report == verify_theorem_exhaustive(3, 4, shards=3)}")

@@ -119,23 +119,14 @@ def random_chain(n: int, r: int, dist: StepDistribution, seed: int) -> GraphChai
     return validate_chain(n, [Graph(n, mk) for mk in masks])
 
 
-def enumerate_chains(
-    n: int, r: int, shard: tuple[int, int] | None = None
-) -> Iterator[GraphChain]:
+def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
     """Every chain of length exactly r on {1..n}, each once, in canonical order.
 
     Canonical order is lexicographic on the sequence of edge-bitmask
-    values. Cost is exponential in C(n, 2); intended for n <= 4. With
-    shard=(index, count), yields only chains whose first graph's bitmask
-    is congruent to index mod count, still in canonical order, so the
-    sorted union over all shards equals the unsharded stream.
+    values. Cost is exponential in C(n, 2); intended for n <= 4.
     """
     _check_vertex_count(n)
     m = _check_length(n, r)
-    if shard is not None:
-        index, count = shard
-        if count < 1 or not 0 <= index < count:
-            raise ValueError(f"invalid shard {shard!r}")
     full = (1 << m) - 1
 
     def extend(prefix: list[int]) -> Iterator[GraphChain]:
@@ -156,8 +147,6 @@ def enumerate_chains(
             prefix.pop()
 
     for first in range(full + 1):
-        if shard is not None and first % shard[1] != shard[0]:
-            continue
         yield from extend([first])
 
 
@@ -179,26 +168,20 @@ def relabel_chain(c: GraphChain, perm: Sequence[int]) -> GraphChain:
     """Apply a vertex permutation (perm[u-1] is the image of u) to every graph."""
     if sorted(perm) != list(range(1, c.n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{c.n}")
-    masks = _relabel_masks(c.n, [g.mask for g in c.graphs], perm)
-    return validate_chain(c.n, [Graph(c.n, mk) for mk in masks])
-
-
-def _relabel_masks(n: int, masks: Sequence[int], perm: Sequence[int]) -> list[int]:
-    pairs = _slot_pairs(n)
-    index = _slot_index(n)
+    index = _slot_index(c.n)
     slot_map = []
-    for u, v in pairs:
+    for u, v in _slot_pairs(c.n):
         pu, pv = perm[u - 1], perm[v - 1]
         if pu > pv:
             pu, pv = pv, pu
         slot_map.append(index[(pu, pv)])
-    out = []
-    for mask in masks:
-        new = 0
-        for b in _bits(mask):
-            new |= 1 << slot_map[b]
-        out.append(new)
-    return out
+    graphs = []
+    for g in c.graphs:
+        mask = 0
+        for b in _bits(g.mask):
+            mask |= 1 << slot_map[b]
+        graphs.append(Graph(c.n, mask))
+    return validate_chain(c.n, graphs)
 
 
 def _chain_doc(c: GraphChain) -> dict:

@@ -9,6 +9,8 @@ parameters, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -30,7 +32,15 @@ from .derived import (
     write_difference_graph,
 )
 from .oracle import MIS_CUTOFF, max_cliquepair_free_family, max_independent_set, write_family_report, write_oracle_report
-from .search import RECORD_FORMAT, SearchConfig, append_record, load_records, local_search_min_ratio, write_record
+from .search import (
+    RECORD_FORMAT,
+    SearchConfig,
+    _decode_line,
+    _records_from_docs,
+    append_record,
+    local_search_min_ratio,
+    write_record,
+)
 from .witness import alon_witness, best_witness, greedy_good_witness, write_witness
 
 VERIFY_FORMAT = "chaincliq-verify-v1"
@@ -62,9 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse._ActionsContainer, pretty: bool = True) -> None:
         p.add_argument("--out", metavar="PATH", help="write the result here instead of stdout")
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
+        if pretty:
+            p.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
     p = sub.add_parser("gen", help="generate a seeded random chain")
     p.add_argument("--n", type=int, required=True, help="vertex count")
@@ -92,14 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact independence number of a chain")
     p.add_argument("--in", dest="infile", required=True, metavar="PATH", help="chain document")
-    p.add_argument("--cutoff", type=int, default=MIS_CUTOFF, help="exact-search size limit")
     common(p)
 
     p = sub.add_parser("verify", help="check a chain document or a records file")
     p.add_argument(
         "--in", dest="infile", required=True, metavar="PATH", help="chain document or records file"
     )
-    p.add_argument("--cutoff", type=int, default=MIS_CUTOFF, help="exact-search size limit")
     p.add_argument(
         "--verify",
         action="store_true",
@@ -110,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream every chain of a given (n, r)")
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--r", type=int, required=True, help="chain length")
-    common(p)
+    common(p, pretty=False)
 
     p = sub.add_parser("conjecture", help="largest clique-pair-free family of graphs")
     p.add_argument("--n", type=int, required=True, help="vertex count (at most 4)")
@@ -121,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="chain length")
     p.add_argument("--budget", type=int, default=10_000, help="move evaluations (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    common(p)
+    common(p.add_mutually_exclusive_group())  # a records file keeps one record per line
 
     return parser
 
@@ -156,12 +165,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     chain = read_chain(Path(args.infile).read_text(encoding="utf-8"))
-    report = max_independent_set(build_difference_graph(chain), cutoff=args.cutoff)
+    report = max_independent_set(build_difference_graph(chain))
     _emit(args, write_oracle_report(report))
     return 0
 
 
-def _verify_chain_checks(chain, cutoff: int) -> list[dict]:
+def _verify_chain_checks(chain) -> list[dict]:
     dg = build_difference_graph(chain)
     checks = []
     violation = verify_lemma_abcd(dg)
@@ -190,8 +199,8 @@ def _verify_chain_checks(chain, cutoff: int) -> list[dict]:
             )
         except ValueError as exc:
             checks.append({"name": name, "pass": False, "detail": str(exc)})
-    if dg.r <= cutoff:
-        report = max_independent_set(dg, cutoff=cutoff)
+    if dg.r <= MIS_CUTOFF:
+        report = max_independent_set(dg)
         ok = all(report.alpha >= s for s in sizes.values()) and len(sizes) == 2
         checks.append(
             {"name": "oracle-alpha", "pass": ok,
@@ -200,23 +209,31 @@ def _verify_chain_checks(chain, cutoff: int) -> list[dict]:
     else:
         checks.append(
             {"name": "oracle-alpha", "pass": True,
-             "detail": f"skipped: r={dg.r} exceeds the exact-search cutoff {cutoff}"}
+             "detail": f"skipped: r={dg.r} exceeds the exact-search cutoff {MIS_CUTOFF}"}
         )
     return checks
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     text = Path(args.infile).read_text(encoding="utf-8")
-    kind = None
+    if not text:
+        raise ValueError(f"cannot verify {args.infile}: the records file holds no records")
+    # Records take one line each, so line 1 of a records file decodes alone and
+    # is not decoded again; only a chain document may span lines (--pretty).
+    head, _, rest = text.partition("\n")
     try:
-        doc = json.loads(text)
-        if isinstance(doc, dict):
-            kind = doc.get("format")
-    except json.JSONDecodeError:
-        kind = RECORD_FORMAT  # multi-line input: treat as a records file
-    if kind == CHAIN_FORMAT:
+        doc = _decode_line(1, head)
+    except ValueError as line_error:
+        try:
+            doc, rest = json.loads(text), ""
+        except json.JSONDecodeError:
+            raise line_error from None
+        if isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
+            raise line_error from None
+    kind = doc.get("format") if isinstance(doc, dict) else None
+    if kind == CHAIN_FORMAT and not rest.strip():
         chain = _chain_from_doc(doc)
-        checks = _verify_chain_checks(chain, args.cutoff)
+        checks = _verify_chain_checks(chain)
         all_pass = all(c["pass"] for c in checks)
         summary = {"format": VERIFY_FORMAT, "subject": "chain", "r": chain.r,
                    "checks": checks, "all_pass": all_pass}
@@ -225,10 +242,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"{status} {c['name']}: {c['detail']}", file=sys.stderr)
         _emit(args, json.dumps(summary))
         return 0 if all_pass else 1
-    if kind == RECORD_FORMAT:
-        records = load_records(args.infile, verify=args.verify)
-        if not records:
-            raise ValueError(f"cannot verify {args.infile}: the records file holds no records")
+    if kind == RECORD_FORMAT or rest.strip():
+        later = (_decode_line(lineno, raw) for lineno, raw in enumerate(io.StringIO(rest), 2))
+        records = _records_from_docs(itertools.chain([doc], later), args.verify)
         summary = {"format": VERIFY_FORMAT, "subject": "records",
                    "records": len(records), "alpha_recomputed": bool(args.verify),
                    "all_pass": True}

@@ -3,7 +3,7 @@
 Everything in this module is deliberately brute force at desk scale:
 
   * max_independent_set. Bitset branch and bound, exact for any adjacency
-    up to the configured cutoff; used to compare witnesses against true
+    on up to MIS_CUTOFF vertices; used to compare witnesses against true
     optima and as the engine behind the extremal search objective.
   * naive_max_independent_set. Full 2^r subset sweep whose only job is to
     cross-check the branch and bound. The two must always agree.
@@ -150,15 +150,15 @@ def _mis_bitset(adj: Sequence[int]) -> tuple[int, int, int]:
     return best, best_mask, nodes
 
 
-def max_independent_set(dg: DifferenceGraph, cutoff: int = MIS_CUTOFF) -> OracleReport:
+def max_independent_set(dg: DifferenceGraph) -> OracleReport:
     """Exact alpha of a difference graph by branch and bound."""
-    if dg.r > cutoff:
-        raise ValueError(f"r={dg.r} exceeds the exact-search cutoff {cutoff}")
+    if dg.r > MIS_CUTOFF:
+        raise ValueError(f"r={dg.r} exceeds the exact-search cutoff {MIS_CUTOFF}")
     alpha, mask, nodes = _mis_bitset(dg.adj)
     return OracleReport(alpha, frozenset(i + 1 for i in _bits(mask)), nodes)
 
 
-def naive_max_independent_set(dg: DifferenceGraph, cutoff: int = NAIVE_CUTOFF) -> OracleReport:
+def naive_max_independent_set(dg: DifferenceGraph) -> OracleReport:
     """Exact alpha by sweeping all 2^r subsets; exists to validate the solver.
 
     A subset is independent iff dropping its lowest index leaves an
@@ -166,8 +166,8 @@ def naive_max_independent_set(dg: DifferenceGraph, cutoff: int = NAIVE_CUTOFF) -
     nodes_explored counts the 2^r subsets swept.
     """
     r = dg.r
-    if r > cutoff:
-        raise ValueError(f"r={r} exceeds the naive-enumeration cutoff {cutoff}")
+    if r > NAIVE_CUTOFF:
+        raise ValueError(f"r={r} exceeds the naive-enumeration cutoff {NAIVE_CUTOFF}")
     adj = dg.adj
     total = 1 << r
     ok = bytearray(total)
@@ -185,43 +185,36 @@ def naive_max_independent_set(dg: DifferenceGraph, cutoff: int = NAIVE_CUTOFF) -
     return OracleReport(best, frozenset(i + 1 for i in _bits(best_mask)), total)
 
 
-def verify_theorem_exhaustive(n: int, r: int, shards: int = 1) -> TheoremReport:
+def verify_theorem_exhaustive(n: int, r: int) -> TheoremReport:
     """Check every chain of length r on {1..n} against lemmas, floors and exact alpha.
 
     Intended for n <= 3 over full length ranges, n = 4 only with small r.
-    The enumeration may be split into shards (processed here one after
-    another); the combined report is identical for every shard count
-    because partial results merge by sum, min, and smallest canonical
-    key.
+    Chains arrive in canonical order, so the reported argmin, the smallest
+    chain of minimum alpha, is the first chain to reach that alpha.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     checked = 0
-    best: tuple[int, tuple[int, ...], GraphChain] | None = None
-    for k in range(shards):
-        shard = None if shards == 1 else (k, shards)
-        for chain in enumerate_chains(n, r, shard=shard):
-            dg = build_difference_graph(chain)
-            violation = verify_lemma_abcd(dg) or verify_lemma_123(dg)
-            if violation is not None:
-                raise ValueError(f"structural check failed on an enumerated chain: {violation}")
-            greedy = greedy_good_witness(dg)
-            triples = alon_witness(dg)
-            report = max_independent_set(dg)
-            if report.alpha < max(len(greedy.indices), len(triples.indices)):
-                raise ValueError("a witness exceeded the exact optimum; solver bug")
-            checked += 1
-            key = (report.alpha, tuple(g.mask for g in chain.graphs))
-            if best is None or key < best[:2]:
-                best = (key[0], key[1], chain)
-    assert best is not None  # r >= 1 always yields at least one chain
-    min_alpha = best[0]
+    min_alpha = r + 1
+    argmin_chain: GraphChain | None = None
+    for chain in enumerate_chains(n, r):
+        dg = build_difference_graph(chain)
+        violation = verify_lemma_abcd(dg) or verify_lemma_123(dg)
+        if violation is not None:
+            raise ValueError(f"structural check failed on an enumerated chain: {violation}")
+        greedy = greedy_good_witness(dg)
+        triples = alon_witness(dg)
+        report = max_independent_set(dg)
+        if report.alpha < max(len(greedy.indices), len(triples.indices)):
+            raise ValueError("a witness exceeded the exact optimum; solver bug")
+        checked += 1
+        if report.alpha < min_alpha:
+            min_alpha, argmin_chain = report.alpha, chain
+    assert argmin_chain is not None  # r >= 1 always yields at least one chain
     return TheoremReport(
         n=n,
         r=r,
         chains_checked=checked,
         min_alpha=min_alpha,
-        argmin_chain=best[2],
+        argmin_chain=argmin_chain,
         bound_ok=min_alpha >= alon_guarantee(r),
     )
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .chains import (
     GraphChain,
@@ -43,6 +44,9 @@ from .witness import alon_guarantee
 
 RECORD_FORMAT = "chaincliq-record-v1"
 
+INITIAL_TEMPERATURE = 0.25
+DECAY = 0.9995
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -52,19 +56,10 @@ class SearchConfig:
     r: int
     budget: int
     seed: int
-    initial_temperature: float = 0.25
-    decay: float = 0.9995
-    resplit_weight: float = 1.0
-    swap_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.initial_temperature <= 0 or self.decay <= 0:
-            raise ValueError("temperature parameters must be positive")
-        weights = (self.resplit_weight, self.swap_weight)
-        if any(w < 0 for w in weights) or not any(weights):
-            raise ValueError("move weights must be nonnegative and not all zero")
 
 
 @dataclass(frozen=True)
@@ -130,18 +125,14 @@ def _propose_swap(masks: list[int], rng: SplitMix64) -> list[int] | None:
     return out
 
 
-def local_search_min_ratio(
-    cfg: SearchConfig,
-    timestamp: str | None = None,
-    oracle_cutoff: int = MIS_CUTOFF,
-) -> SearchRecord:
+def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> SearchRecord:
     """Anneal from a seeded random chain, returning the best record seen.
 
     The timestamp is pure metadata; pass one explicitly to make the whole
     record a deterministic function of the inputs.
     """
-    if cfg.r > oracle_cutoff:
-        raise ValueError(f"r={cfg.r} exceeds the exact-search cutoff {oracle_cutoff}")
+    if cfg.r > MIS_CUTOFF:
+        raise ValueError(f"r={cfg.r} exceeds the exact-search cutoff {MIS_CUTOFF}")
     rng = SplitMix64(cfg.seed)
     start = random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64())
     masks = [g.mask for g in start.graphs]
@@ -152,10 +143,9 @@ def local_search_min_ratio(
     current_alpha = alpha_of(masks)
     best_alpha = current_alpha
     best_masks = tuple(masks)
-    total_weight = cfg.resplit_weight + cfg.swap_weight
     accepted = 0
     for step in range(cfg.budget):
-        if rng.uniform() * total_weight < cfg.resplit_weight:
+        if rng.uniform() < 0.5:
             candidate = _propose_resplit(masks, rng)
         else:
             candidate = _propose_swap(masks, rng)
@@ -169,7 +159,7 @@ def local_search_min_ratio(
         if delta <= 0:
             accept = True
         else:
-            temperature = max(cfg.initial_temperature * cfg.decay**step, 1e-12)
+            temperature = max(INITIAL_TEMPERATURE * DECAY**step, 1e-12)
             accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
         if accept:
             masks = candidate
@@ -231,6 +221,10 @@ def _record_from_doc(doc: object, verify: bool) -> SearchRecord:
         meta[field] = value
     if not 0 <= meta["seed"] <= _MASK64:
         raise ValueError("field 'seed' must be in [0, 2^64)")
+    if meta["budget"] < 1:
+        raise ValueError("field 'budget' must be >= 1")
+    if not 0 <= meta["move_trace_length"] <= meta["budget"]:
+        raise ValueError("field 'move_trace_length' must be in [0, budget]")
     stamp = doc.get("timestamp")
     if not isinstance(stamp, str):
         raise ValueError("field 'timestamp' must be a string")
@@ -249,20 +243,30 @@ def append_record(path: str | Path, rec: SearchRecord) -> None:
         handle.write(write_record(rec) + "\n")
 
 
+def _decode_line(lineno: int, raw: str) -> object:
+    """The JSON value on one records-file line; errors name the line."""
+    line = raw.strip()
+    if not line:
+        raise ValueError(f"line {lineno}: empty line in records file")
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {lineno}: malformed JSON: {exc}") from None
+
+
+def _records_from_docs(docs: Iterable[object], verify: bool) -> list[SearchRecord]:
+    """Validate the decoded lines of a records file, in order from line 1."""
+    records = []
+    for lineno, doc in enumerate(docs, 1):
+        try:
+            records.append(_record_from_doc(doc, verify))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return records
+
+
 def load_records(path: str | Path, verify: bool = False) -> list[SearchRecord]:
     """Read a records file, validating every line; verify=True re-checks each alpha."""
-    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line:
-                raise ValueError(f"line {lineno}: empty line in records file")
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: malformed JSON: {exc}") from None
-            try:
-                records.append(_record_from_doc(doc, verify))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    return records
+        docs = (_decode_line(lineno, raw) for lineno, raw in enumerate(handle, 1))
+        return _records_from_docs(docs, verify)

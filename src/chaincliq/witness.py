@@ -133,8 +133,6 @@ def greedy_good_witness(dg: DifferenceGraph) -> WitnessSet:
         if not dg.adj[i] & chosen_mask:
             chosen.append(i)
             chosen_mask |= 1 << i
-    if not chosen:  # unreachable: indices 1..3 always have left count <= 2
-        return _certified(dg, frozenset({1}), "singleton-fallback", greedy_guarantee(r))
     return _certified(
         dg, frozenset(i + 1 for i in chosen), "greedy-good", greedy_guarantee(r)
     )

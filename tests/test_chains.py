@@ -130,20 +130,9 @@ class TestEnumerateChains:
         for c in enumerate_chains(3, 3):
             validate_chain(c.n, c.graphs)
 
-    def test_sharded_union_matches_full_stream(self):
-        full = [masks_of(c) for c in enumerate_chains(3, 3)]
-        merged = []
-        for k in range(4):
-            part = [masks_of(c) for c in enumerate_chains(3, 3, shard=(k, 4))]
-            assert part == sorted(part)
-            merged.extend(part)
-        assert sorted(merged) == full
-
     def test_rejects_out_of_range_length(self):
         with pytest.raises(ValueError, match="exceeds"):
             list(enumerate_chains(2, 3))
-        with pytest.raises(ValueError, match="shard"):
-            list(enumerate_chains(2, 1, shard=(2, 2)))
 
 
 class TestReverseChain:

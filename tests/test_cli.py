@@ -129,8 +129,8 @@ class TestVerify:
         assert captured.err.count("PASS") == len(names)
 
     def test_oracle_check_skipped_above_cutoff(self, tmp_path, capsys):
-        _, path = gen_chain_file(tmp_path, n=12, r=60, seed=4)
-        assert run_cli(["verify", "--in", str(path), "--cutoff", "10"]) == 0
+        _, path = gen_chain_file(tmp_path, n=12, r=65, seed=4)
+        assert run_cli(["verify", "--in", str(path)]) == 0
         captured = capsys.readouterr()
         checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
         assert checks["oracle-alpha"]["pass"] is True
@@ -187,6 +187,43 @@ class TestVerify:
         assert run_cli(["verify", "--in", str(records), "--verify"]) == 1
         assert "alpha verification mismatch" in capsys.readouterr().err
 
+    def test_impossible_record_metadata_fails(self, tmp_path, capsys):
+        records = tmp_path / "records.ldjson"
+        assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "20",
+                        "--seed", "3", "--out", str(records)]) == 0
+        doc = json.loads(records.read_text())
+        doc["move_trace_length"] = 21
+        records.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run_cli(["verify", "--in", str(records), "--verify"]) == 1
+        assert "line 1: field 'move_trace_length'" in capsys.readouterr().err
+
+    def test_pretty_chain_document_verifies(self, tmp_path, capsys):
+        chain, _ = gen_chain_file(tmp_path)
+        path = tmp_path / "pretty.json"
+        path.write_text(json.dumps(json.loads(write_chain(chain)), indent=2) + "\n")
+        assert run_cli(["verify", "--in", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["subject"] == "chain" and summary["all_pass"] is True
+
+    def test_each_records_line_is_decoded_once(self, tmp_path, capsys, monkeypatch):
+        records = tmp_path / "records.ldjson"
+        for seed in range(3):
+            assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "20",
+                            "--seed", str(seed), "--out", str(records)]) == 0
+        calls = []
+        raw_decode = json.decoder.JSONDecoder.raw_decode
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return raw_decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.decoder.JSONDecoder, "raw_decode", counting)
+        assert run_cli(["verify", "--in", str(records)]) == 0
+        monkeypatch.undo()
+        assert json.loads(capsys.readouterr().out)["records"] == 3
+        assert len(calls) == 3
+
 
 class TestEnumerate:
     def test_streams_every_chain_in_order(self, capsys):
@@ -235,6 +272,20 @@ class TestSearch:
         first.pop("timestamp")
         second.pop("timestamp")
         assert first == second
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--in", "chain.json", "--cutoff", "10"],
+        ["verify", "--in", "chain.json", "--cutoff", "10"],
+        ["enumerate", "--n", "2", "--r", "1", "--pretty"],
+        ["search", "--n", "4", "--r", "5", "--out", "records.ldjson", "--pretty"],
+    ])
+    def test_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def library_outputs(tmp_path):

@@ -56,9 +56,9 @@ class TestMaxIndependentSet:
         assert max_independent_set(dg).alpha == 1
 
     def test_cutoff_guard(self):
-        dg = difference_graph_from_edges(5, [])
+        dg = difference_graph_from_edges(65, [])
         with pytest.raises(ValueError, match="cutoff"):
-            max_independent_set(dg, cutoff=4)
+            max_independent_set(dg)
 
     def test_deterministic_report(self):
         dg = build_difference_graph(random_chain(6, 14, SINGLE_STEP, 77))
@@ -122,10 +122,15 @@ class TestTheoremExhaustive:
         argmin_dg = build_difference_graph(report.argmin_chain)
         assert max_independent_set(argmin_dg).alpha == report.min_alpha
 
-    def test_sharding_does_not_change_the_report(self):
-        single = verify_theorem_exhaustive(3, 3)
-        assert verify_theorem_exhaustive(3, 3, shards=2) == single
-        assert verify_theorem_exhaustive(3, 3, shards=5) == single
+    @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (3, 4), (4, 3)])
+    def test_argmin_is_the_smallest_chain_of_minimum_alpha(self, n, r):
+        report = verify_theorem_exhaustive(n, r)
+        minimal = [
+            tuple(g.mask for g in c.graphs)
+            for c in enumerate_chains(n, r)
+            if max_independent_set(build_difference_graph(c)).alpha == report.min_alpha
+        ]
+        assert tuple(g.mask for g in report.argmin_chain.graphs) == min(minimal)
 
 
 class TestFamilyHasCliquePair:

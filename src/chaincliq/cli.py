@@ -130,7 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="chain length")
     p.add_argument("--budget", type=int, default=10_000, help="move evaluations (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    common(p.add_mutually_exclusive_group())  # a records file keeps one record per line
+    group = p.add_mutually_exclusive_group()  # a records file keeps one record per line
+    group.add_argument("--out", metavar="PATH", help="append the record to this records file")
+    group.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
     return parser
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .chains import GraphChain
-from .graphs import _clique_support_mask
+from .graphs import MAX_VERTICES, _clique_support_mask
 
 DGRAPH_FORMAT = "chaincliq-dgraph-v1"
 
@@ -46,11 +47,6 @@ class DifferenceGraph:
     adj: tuple[int, ...]
     left_counts: tuple[int, ...]
     right_counts: tuple[int, ...]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check_index(i)
-        self._check_index(j)
-        return bool(self.adj[i - 1] >> (j - 1) & 1)
 
     def degree(self, i: int) -> int:
         self._check_index(i)
@@ -109,6 +105,9 @@ def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> Dif
     """Assemble a DifferenceGraph from explicit index pairs (mainly for tests and IO)."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError(f"index count must be a positive integer, got {r!r}")
+    longest = comb(MAX_VERTICES, 2) + 1  # a strict chain gains an edge at every step
+    if r > longest:
+        raise ValueError(f"index count {r} exceeds the longest chain length {longest}")
     adj = [0] * r
     for i, j in edges:
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):

@@ -54,7 +54,9 @@ def _check_vertex_count(n: object) -> None:
 
 
 @dataclass(frozen=True)
-class _EdgeBitset:
+class Graph:
+    """A graph on {1..n}: one element of a chain, or the difference of two."""
+
     n: int
     mask: int
 
@@ -75,16 +77,6 @@ class _EdgeBitset:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.sorted_edges())
-
-
-@dataclass(frozen=True)
-class Graph(_EdgeBitset):
-    """A graph on {1..n}, typically one element of a nested chain."""
-
-
-@dataclass(frozen=True)
-class EdgeSet(_EdgeBitset):
-    """A bare edge set over {1..n}, e.g. the difference of two chain graphs."""
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
@@ -119,7 +111,7 @@ def is_subgraph(a: Graph, b: Graph) -> bool:
     return a.mask & ~b.mask == 0
 
 
-def edge_difference(super_graph: Graph, sub_graph: Graph) -> EdgeSet:
+def edge_difference(super_graph: Graph, sub_graph: Graph) -> Graph:
     """Edges of `super_graph` that are not in `sub_graph`.
 
     Requires the second argument to be a subgraph of the first.
@@ -128,7 +120,7 @@ def edge_difference(super_graph: Graph, sub_graph: Graph) -> EdgeSet:
         raise ValueError(f"mismatched vertex counts: {super_graph.n} vs {sub_graph.n}")
     if sub_graph.mask & ~super_graph.mask:
         raise ValueError("second graph is not a subgraph of the first")
-    return EdgeSet(super_graph.n, super_graph.mask & ~sub_graph.mask)
+    return Graph(super_graph.n, super_graph.mask & ~sub_graph.mask)
 
 
 def _clique_support_mask(n: int, mask: int) -> int | None:
@@ -156,7 +148,7 @@ def _clique_support_mask(n: int, mask: int) -> int | None:
     return support
 
 
-def is_clique(s: EdgeSet) -> frozenset[int] | None:
+def is_clique(s: Graph) -> frozenset[int] | None:
     """The spanned vertex set if every pair of spanned vertices is an edge.
 
     A single edge counts as the 2-clique; the empty edge set counts as a

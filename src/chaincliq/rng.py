@@ -31,8 +31,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), rejection sampled to avoid modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < bound <= _MASK64 + 1:
+            raise ValueError(f"bound {bound} outside [1, 2^64]")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
         while True:
             x = self.next_u64()

@@ -3,19 +3,18 @@
 The objective of a chain is alpha/r where alpha is the exact independence
 number of its difference graph, recomputed from scratch for every
 candidate; witness sizes are only lower bounds and would skew the
-landscape. Two move kinds rearrange a chain without changing its
-length:
+landscape. No move changes the last graph, so the search state is the
+step (0 to r-1) at which each of its edges enters; step s's graph holds
+the edges entering at or before s. Two moves change entry steps:
 
-  * resplit: shift one edge's first appearance to an adjacent step,
-  * swap: exchange the first-appearance steps of two edges.
+  * resplit: move one edge's entry step to an adjacent step,
+  * swap: exchange the entry steps of two edges.
 
-Both moves are label-equivariant and alpha is invariant under vertex
-permutations, so a move that relabels vertices would reach nothing new.
-
-Moves that would break strict nesting are rejected, not repaired, and a
-rejected proposal still consumes budget. Runs are pure functions of
-their configuration (plus the supplied timestamp), so any recorded
-result can be replayed bit for bit.
+Alpha is invariant under vertex permutations, so no move relabels. A
+resplit that leaves a step after the first with no entering edge would
+break strict nesting and is rejected, not repaired; rejected proposals
+still consume budget. Runs are pure functions of their configuration
+(plus the supplied timestamp), so any recorded result replays bit for bit.
 """
 
 from __future__ import annotations
@@ -80,48 +79,39 @@ class SearchRecord:
     timestamp: str
 
 
-def _first_step(masks: list[int], bit: int) -> int:
-    for idx, mask in enumerate(masks):
-        if mask & bit:
-            return idx
-    raise AssertionError("edge not present in the chain")
+def _chain_masks(edges: list[int], first: list[int], r: int) -> list[int]:
+    """Edge mask of G_s for s = 0..r-1: every edge whose entry step is at most s."""
+    masks = [0] * r
+    for slot, step in zip(edges, first):
+        masks[step] |= 1 << slot
+    for s in range(1, r):
+        masks[s] |= masks[s - 1]
+    return masks
 
 
-def _propose_resplit(masks: list[int], rng: SplitMix64) -> list[int] | None:
-    edges = list(_bits(masks[-1]))
-    if not edges:
+def _propose_resplit(first: list[int], r: int, rng: SplitMix64) -> list[int] | None:
+    if not first:
         return None
-    bit = 1 << edges[rng.below(len(edges))]
-    step = _first_step(masks, bit)
-    direction = -1 if rng.below(2) == 0 else 1
-    target = step + direction
-    if target < 0 or target >= len(masks):
+    k = rng.below(len(first))
+    step = first[k]
+    target = step - 1 if rng.below(2) == 0 else step + 1
+    # strict nesting: G_step must keep an entering edge unless it is G_0
+    if not 0 <= target < r or (step > 0 and first.count(step) == 1):
         return None
-    out = list(masks)
-    if direction == 1:
-        out[step] &= ~bit
-        if step > 0 and out[step] == masks[step - 1]:
-            return None
-    else:
-        out[target] |= bit
-        if out[target] == masks[step]:
-            return None
+    out = list(first)
+    out[k] = target
     return out
 
 
-def _propose_swap(masks: list[int], rng: SplitMix64) -> list[int] | None:
-    edges = list(_bits(masks[-1]))
-    if len(edges) < 2:
+def _propose_swap(first: list[int], rng: SplitMix64) -> list[int] | None:
+    if len(first) < 2:
         return None
-    i = rng.below(len(edges))
-    j = rng.below(len(edges) - 1)
+    i = rng.below(len(first))
+    j = rng.below(len(first) - 1)
     if j >= i:
         j += 1
-    bit_e, bit_f = 1 << edges[i], 1 << edges[j]
-    se, sf = _first_step(masks, bit_e), _first_step(masks, bit_f)
-    out = list(masks)
-    for k in range(min(se, sf), max(se, sf)):
-        out[k] ^= bit_e | bit_f
+    out = list(first)
+    out[i], out[j] = first[j], first[i]
     return out
 
 
@@ -134,27 +124,28 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     if cfg.r > MIS_CUTOFF:
         raise ValueError(f"r={cfg.r} exceeds the exact-search cutoff {MIS_CUTOFF}")
     rng = SplitMix64(cfg.seed)
-    start = random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64())
-    masks = [g.mask for g in start.graphs]
+    masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
+    edges = list(_bits(masks[-1]))
+    first = [sum(not mask >> e & 1 for mask in masks) for e in edges]  # graphs missing e
 
     def alpha_of(candidate: list[int]) -> int:
-        return _mis_bitset(_difference_adjacency(cfg.n, candidate))[0]
+        return _mis_bitset(_difference_adjacency(cfg.n, _chain_masks(edges, candidate, cfg.r)))[0]
 
-    current_alpha = alpha_of(masks)
+    current_alpha = alpha_of(first)
     best_alpha = current_alpha
-    best_masks = tuple(masks)
+    best_first = first
     accepted = 0
     for step in range(cfg.budget):
         if rng.uniform() < 0.5:
-            candidate = _propose_resplit(masks, rng)
+            candidate = _propose_resplit(first, cfg.r, rng)
         else:
-            candidate = _propose_swap(masks, rng)
+            candidate = _propose_swap(first, rng)
         if candidate is None:
             continue
         alpha = alpha_of(candidate)
         if alpha < best_alpha:  # monotone by construction: only strict improvements
             best_alpha = alpha
-            best_masks = tuple(candidate)
+            best_first = candidate
         delta = alpha - current_alpha
         if delta <= 0:
             accept = True
@@ -162,9 +153,10 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
             temperature = max(INITIAL_TEMPERATURE * DECAY**step, 1e-12)
             accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
         if accept:
-            masks = candidate
+            first = candidate
             current_alpha = alpha
             accepted += 1
+    best_masks = _chain_masks(edges, best_first, cfg.r)
     chain = validate_chain(cfg.n, [Graph(cfg.n, mk) for mk in best_masks])
     ratio = Fraction(best_alpha, cfg.r)
     if ratio < Fraction(alon_guarantee(cfg.r), cfg.r):
@@ -207,6 +199,9 @@ def _record_from_doc(doc: object, verify: bool) -> SearchRecord:
     alpha = doc.get("alpha")
     if not isinstance(alpha, int) or isinstance(alpha, bool) or not 1 <= alpha <= chain.r:
         raise ValueError(f"field 'alpha' must be an integer in [1, {chain.r}]")
+    floor = alon_guarantee(chain.r)
+    if alpha < floor:
+        raise ValueError(f"alpha {alpha} is below the proven floor {floor} for r={chain.r}")
     try:
         ratio = Fraction(doc.get("ratio"))
     except (TypeError, ValueError, ZeroDivisionError):

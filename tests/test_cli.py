@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ import chaincliq.cli as cli
 from chaincliq import (
     SINGLE_STEP,
     SearchConfig,
+    SearchRecord,
     alon_witness,
     best_witness,
     build_difference_graph,
@@ -179,8 +181,6 @@ class TestVerify:
                         "--seed", "3", "--out", str(records)]) == 0
         doc = json.loads(records.read_text())
         doc["alpha"] += 1
-        from fractions import Fraction
-
         doc["ratio"] = str(Fraction(doc["alpha"], 5))
         records.write_text(json.dumps(doc) + "\n")
         capsys.readouterr()
@@ -197,6 +197,15 @@ class TestVerify:
         capsys.readouterr()
         assert run_cli(["verify", "--in", str(records), "--verify"]) == 1
         assert "line 1: field 'move_trace_length'" in capsys.readouterr().err
+
+    def test_record_below_the_proven_floor_fails(self, tmp_path, capsys):
+        chain = random_chain(11, 56, SINGLE_STEP, 4)
+        records = tmp_path / "records.ldjson"
+        rec = SearchRecord(chain, 1, Fraction(1, 56), 0, 1, 0, "2026-01-01T00:00:00Z")
+        records.write_text(write_record(rec) + "\n")
+        assert run_cli(["verify", "--in", str(records)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "below the proven floor 9" in captured.err
 
     def test_pretty_chain_document_verifies(self, tmp_path, capsys):
         chain, _ = gen_chain_file(tmp_path)
@@ -263,6 +272,10 @@ class TestSearch:
                         "--seed", "-3", "--out", str(records)]) == 1
         assert "seed" in capsys.readouterr().err
         assert not records.exists()
+
+    def test_help_says_out_appends(self, capsys):
+        assert run_cli(["search", "--help"]) == 0
+        assert "append the record to this records file" in capsys.readouterr().out
 
     def test_seeded_runs_reproduce_outside_metadata(self, capsys):
         assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "100", "--seed", "8"]) == 0

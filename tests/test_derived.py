@@ -238,6 +238,13 @@ class TestDifferenceGraphSerialization:
         with pytest.raises(ValueError, match="format tag"):
             read_difference_graph(json.dumps({"format": "x", "r": 2, "edges": []}))
 
+    def test_index_count_is_bounded_by_the_longest_chain(self):
+        assert difference_graph_from_edges(2017, [(1, 2017)]).r == 2017  # C(64, 2) + 1
+        for r in (2018, 10**12):
+            doc = json.dumps({"format": "chaincliq-dgraph-v1", "r": r, "edges": []})
+            with pytest.raises(ValueError, match="longest chain length 2017"):
+                read_difference_graph(doc)
+
     def test_rejects_bad_index_pairs(self):
         base = {"format": "chaincliq-dgraph-v1", "r": 3}
         with pytest.raises(ValueError, match="1 <= i < j"):

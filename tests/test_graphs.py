@@ -1,4 +1,4 @@
-"""Edge-set value types and the clique predicate."""
+"""The graph value type and the clique predicate."""
 
 from math import comb
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaincliq import EdgeSet, Graph, MAX_VERTICES, edge_difference, is_clique, is_subgraph, make_graph
+from chaincliq import Graph, MAX_VERTICES, edge_difference, is_clique, is_subgraph, make_graph
 
 from strategies import vertex_subsets
 
@@ -15,7 +15,7 @@ def clique_edge_set(n, members):
     """All pairs inside a vertex subset, built without the bitmask machinery."""
     members = sorted(members)
     pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
-    return EdgeSet(n, make_graph(n, pairs).mask)
+    return Graph(n, make_graph(n, pairs).mask)
 
 
 def is_clique_by_enumeration(s):
@@ -91,24 +91,24 @@ class TestIsSubgraph:
 
 class TestIsClique:
     def test_triangle(self):
-        s = EdgeSet(3, make_graph(3, [(1, 2), (1, 3), (2, 3)]).mask)
+        s = Graph(3, make_graph(3, [(1, 2), (1, 3), (2, 3)]).mask)
         assert is_clique(s) == {1, 2, 3}
 
     def test_missing_pair_is_not_clique(self):
-        s = EdgeSet(3, make_graph(3, [(1, 3), (2, 3)]).mask)
+        s = Graph(3, make_graph(3, [(1, 3), (2, 3)]).mask)
         assert is_clique(s) is None
 
     def test_single_edge_is_k2(self):
-        s = EdgeSet(3, make_graph(3, [(1, 2)]).mask)
+        s = Graph(3, make_graph(3, [(1, 2)]).mask)
         assert is_clique(s) == {1, 2}
 
     def test_empty_set_is_vacuous_clique(self):
-        assert is_clique(EdgeSet(3, 0)) == frozenset()
+        assert is_clique(Graph(3, 0)) == frozenset()
 
     @given(st.integers(min_value=2, max_value=8), st.data())
     def test_matches_direct_enumeration(self, n, data):
         mask = data.draw(st.integers(min_value=0, max_value=(1 << comb(n, 2)) - 1))
-        s = EdgeSet(n, mask)
+        s = Graph(n, mask)
         assert is_clique(s) == is_clique_by_enumeration(s)
 
     @given(st.data())
@@ -117,7 +117,7 @@ class TestIsClique:
         a = data.draw(vertex_subsets(n), label="a")
         b = data.draw(vertex_subsets(n), label="b")
         c1, c2 = clique_edge_set(n, a), clique_edge_set(n, b)
-        inter = EdgeSet(n, c1.mask & c2.mask)
+        inter = Graph(n, c1.mask & c2.mask)
         if inter.mask:
             assert is_clique(inter) is not None
 
@@ -129,7 +129,7 @@ class TestIsClique:
         c1, c2 = clique_edge_set(n, a), clique_edge_set(n, b)
         if c1.mask & c2.mask or not c1.mask or not c2.mask:
             return
-        assert is_clique(EdgeSet(n, c1.mask | c2.mask)) is None
+        assert is_clique(Graph(n, c1.mask | c2.mask)) is None
 
 
 @given(st.integers(min_value=2, max_value=7), st.data())
@@ -139,10 +139,6 @@ def test_difference_and_sub_partition_the_super(n, data):
     sub_mask = sup_mask & data.draw(st.integers(min_value=0, max_value=full))
     sup, sub = Graph(n, sup_mask), Graph(n, sub_mask)
     diff = edge_difference(sup, sub)
+    assert diff == Graph(n, sup_mask & ~sub_mask)
     assert diff.mask & sub.mask == 0
     assert diff.mask | sub.mask == sup.mask
-
-
-def test_graph_and_edge_set_are_distinct_types():
-    assert Graph(3, 1) != EdgeSet(3, 1)
-    assert Graph(3, 1) == Graph(3, 1)

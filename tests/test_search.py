@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from chaincliq import (
     SearchConfig,
+    SearchRecord,
     SplitMix64,
     alon_guarantee,
     append_record,
     build_difference_graph,
+    enumerate_chains,
     load_records,
     local_search_min_ratio,
     max_independent_set,
@@ -22,10 +25,78 @@ from chaincliq import (
     write_record,
 )
 from chaincliq.chains import SINGLE_STEP
+from chaincliq.graphs import _bits
+from chaincliq.search import _chain_masks, _propose_resplit, _propose_swap
 
 from strategies import chains
 
 STAMP = "2026-01-01T00:00:00Z"
+
+
+# Reference moves: the same proposals written as edits of the cumulative
+# edge masks, finding each edge's entry step by a scan over the chain.
+
+def _first_step(masks, bit):
+    for idx, mask in enumerate(masks):
+        if mask & bit:
+            return idx
+    raise AssertionError("edge not present in the chain")
+
+
+def _reference_resplit(masks, rng):
+    edges = list(_bits(masks[-1]))
+    if not edges:
+        return None
+    bit = 1 << edges[rng.below(len(edges))]
+    step = _first_step(masks, bit)
+    direction = -1 if rng.below(2) == 0 else 1
+    target = step + direction
+    if target < 0 or target >= len(masks):
+        return None
+    out = list(masks)
+    if direction == 1:
+        out[step] &= ~bit
+        if step > 0 and out[step] == masks[step - 1]:
+            return None
+    else:
+        out[target] |= bit
+        if out[target] == masks[step]:
+            return None
+    return out
+
+
+def _reference_swap(masks, rng):
+    edges = list(_bits(masks[-1]))
+    if len(edges) < 2:
+        return None
+    i = rng.below(len(edges))
+    j = rng.below(len(edges) - 1)
+    if j >= i:
+        j += 1
+    bit_e, bit_f = 1 << edges[i], 1 << edges[j]
+    se, sf = _first_step(masks, bit_e), _first_step(masks, bit_f)
+    out = list(masks)
+    for k in range(min(se, sf), max(se, sf)):
+        out[k] ^= bit_e | bit_f
+    return out
+
+
+def assert_moves_match_reference(chain, seed):
+    masks = [g.mask for g in chain.graphs]
+    edges = list(_bits(masks[-1]))
+    first = [_first_step(masks, 1 << e) for e in edges]
+    assert _chain_masks(edges, first, chain.r) == masks
+    moves = [
+        (_reference_resplit, lambda rng: _propose_resplit(first, chain.r, rng)),
+        (_reference_swap, lambda rng: _propose_swap(first, rng)),
+    ]
+    for reference, move in moves:
+        ref_rng, rng = SplitMix64(seed), SplitMix64(seed)
+        expected, got = reference(masks, ref_rng), move(rng)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert _chain_masks(edges, got, chain.r) == expected
+        assert rng.state == ref_rng.state
 
 
 class TestSearchConfigValidation:
@@ -81,6 +152,20 @@ class TestLocalSearch:
     def test_infeasible_length_propagates(self):
         with pytest.raises(ValueError, match=r"r exceeds C\(n,2\)\+1"):
             local_search_min_ratio(SearchConfig(n=2, r=4, budget=1, seed=0))
+
+
+class TestMovesMatchReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_enumerated_chain(self, n):
+        for r in range(1, comb(n, 2) + 2):
+            for chain in enumerate_chains(n, r):
+                for seed in range(24):
+                    assert_moves_match_reference(chain, seed)
+
+    @given(chains(max_n=7), st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4))
+    def test_random_chains(self, chain, seeds):
+        for seed in seeds:
+            assert_moves_match_reference(chain, seed)
 
 
 class TestPinnedStreams:
@@ -180,6 +265,18 @@ class TestRecordsFile:
         doc[field] = value
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(ValueError, match=f"line 1: field '{field}'"):
+            load_records(path, verify=verify)
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_alpha_below_the_proven_floor_rejected(self, tmp_path, verify):
+        chain = random_chain(11, 56, SINGLE_STEP, 4)
+        path = tmp_path / "records.ldjson"
+        for alpha in (9, 1):  # alon_guarantee(56) == 9
+            rec = SearchRecord(chain, alpha, Fraction(alpha, 56), 0, 1, 0, STAMP)
+            path.write_text(write_record(rec) + "\n")
+            if alpha == 9 and not verify:
+                assert load_records(path) == [rec]
+        with pytest.raises(ValueError, match="line 1: alpha 1 is below the proven floor 9"):
             load_records(path, verify=verify)
 
     def test_wrong_format_tag_rejected(self, tmp_path):

@@ -50,9 +50,8 @@ for seed in range(12):
 print("\nHow the triple method decides, for one chain:")
 chain = random_chain(N, R, SINGLE_STEP, 3)
 dg = build_difference_graph(chain)
-for choice in select_triples(dg).choices[:4]:
-    side = f", side {choice.side}" if choice.side else ""
-    print(f"  triple {choice.triple}: index {choice.chosen} violates condition {choice.bullet}{side}")
+for t, owner in enumerate(select_triples(dg)[:4], 1):
+    print(f"  triple {t}: index {owner} violates condition {owner - 3 * t + 3}")
 print("  ... one index per triple; orienting edges left to right leaves each")
 print("  selected index with no incoming or no outgoing selected neighbor,")
 print("  and the larger of the sink/source classes is the witness.")

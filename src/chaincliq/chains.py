@@ -192,12 +192,26 @@ def _chain_doc(c: GraphChain) -> dict:
     }
 
 
-def _chain_from_doc(doc: object) -> GraphChain:
+def _parse_json(text: str) -> object:
+    """Decode JSON text; malformed or too deeply nested text is a ValueError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed JSON: {exc}") from None
+
+
+def _tagged(doc: object, subject: str, fmt: str) -> dict:
+    """The document itself, once it is a JSON object carrying the format tag fmt."""
     if not isinstance(doc, dict):
-        raise ValueError("chain document must be a JSON object")
-    fmt = doc.get("format")
-    if fmt != CHAIN_FORMAT:
-        raise ValueError(f"unsupported format tag {fmt!r} (expected {CHAIN_FORMAT!r})")
+        raise ValueError(f"{subject} must be a JSON object")
+    tag = doc.get("format")
+    if tag != fmt:
+        raise ValueError(f"unsupported format tag {tag!r} (expected {fmt!r})")
+    return doc
+
+
+def _chain_from_doc(doc: object) -> GraphChain:
+    doc = _tagged(doc, "chain document", CHAIN_FORMAT)
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("field 'n' must be an integer")
@@ -234,8 +248,4 @@ def write_chain(c: GraphChain) -> str:
 
 def read_chain(text: str) -> GraphChain:
     """Parse and fully validate a chain document; inverse of write_chain."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from None
-    return _chain_from_doc(doc)
+    return _chain_from_doc(_parse_json(text))

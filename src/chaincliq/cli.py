@@ -19,6 +19,7 @@ from .chains import (
     CHAIN_FORMAT,
     StepDistribution,
     _chain_from_doc,
+    _parse_json,
     enumerate_chains,
     random_chain,
     read_chain,
@@ -227,8 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = _decode_line(1, head)
     except ValueError as line_error:
         try:
-            doc, rest = json.loads(text), ""
-        except json.JSONDecodeError:
+            doc, rest = _parse_json(text), ""
+        except ValueError:
             raise line_error from None
         if isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
             raise line_error from None

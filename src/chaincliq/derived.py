@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .chains import GraphChain
+from .chains import GraphChain, _parse_json, _tagged
 from .graphs import MAX_VERTICES, _clique_support_mask
 
 DGRAPH_FORMAT = "chaincliq-dgraph-v1"
@@ -202,15 +202,7 @@ def write_difference_graph(dg: DifferenceGraph) -> str:
 
 def read_difference_graph(text: str) -> DifferenceGraph:
     """Parse and validate a difference-graph document; inverse of write_difference_graph."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("difference-graph document must be a JSON object")
-    fmt = doc.get("format")
-    if fmt != DGRAPH_FORMAT:
-        raise ValueError(f"unsupported format tag {fmt!r} (expected {DGRAPH_FORMAT!r})")
+    doc = _tagged(_parse_json(text), "difference-graph document", DGRAPH_FORMAT)
     r = doc.get("r")
     edges = doc.get("edges")
     if not isinstance(edges, list):

@@ -18,6 +18,8 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed {seed!r} must be an integer")
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed {seed} outside [0, 2^64)")
         self.state = seed

@@ -32,6 +32,8 @@ from .chains import (
     SINGLE_STEP,
     _chain_doc,
     _chain_from_doc,
+    _parse_json,
+    _tagged,
     random_chain,
     validate_chain,
 )
@@ -43,8 +45,8 @@ from .witness import alon_guarantee
 
 RECORD_FORMAT = "chaincliq-record-v1"
 
-INITIAL_TEMPERATURE = 0.25
-DECAY = 0.9995
+_INITIAL_TEMPERATURE = 0.25
+_DECAY = 0.9995
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
         if delta <= 0:
             accept = True
         else:
-            temperature = max(INITIAL_TEMPERATURE * DECAY**step, 1e-12)
+            temperature = max(_INITIAL_TEMPERATURE * _DECAY**step, 1e-12)
             accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
         if accept:
             first = candidate
@@ -190,11 +192,7 @@ def write_record(rec: SearchRecord) -> str:
 
 
 def _record_from_doc(doc: object, verify: bool) -> SearchRecord:
-    if not isinstance(doc, dict):
-        raise ValueError("record must be a JSON object")
-    fmt = doc.get("format")
-    if fmt != RECORD_FORMAT:
-        raise ValueError(f"unsupported format tag {fmt!r} (expected {RECORD_FORMAT!r})")
+    doc = _tagged(doc, "record", RECORD_FORMAT)
     chain = _chain_from_doc(doc.get("chain"))
     alpha = doc.get("alpha")
     if not isinstance(alpha, int) or isinstance(alpha, bool) or not 1 <= alpha <= chain.r:
@@ -202,12 +200,12 @@ def _record_from_doc(doc: object, verify: bool) -> SearchRecord:
     floor = alon_guarantee(chain.r)
     if alpha < floor:
         raise ValueError(f"alpha {alpha} is below the proven floor {floor} for r={chain.r}")
-    try:
-        ratio = Fraction(doc.get("ratio"))
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError("field 'ratio' must be an exact rational string") from None
-    if ratio != Fraction(alpha, chain.r):
-        raise ValueError(f"ratio {ratio} inconsistent with alpha {alpha} over r {chain.r}")
+    ratio = Fraction(alpha, chain.r)
+    if doc.get("ratio") != str(ratio):
+        raise ValueError(
+            f"field 'ratio' must be {str(ratio)!r}; any other value is inconsistent "
+            f"with alpha {alpha} over r {chain.r}"
+        )
     meta = {}
     for field in ("seed", "budget", "move_trace_length"):
         value = doc.get(field)
@@ -244,9 +242,9 @@ def _decode_line(lineno: int, raw: str) -> object:
     if not line:
         raise ValueError(f"line {lineno}: empty line in records file")
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"line {lineno}: malformed JSON: {exc}") from None
+        return _parse_json(line)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def _records_from_docs(docs: Iterable[object], verify: bool) -> list[SearchRecord]:

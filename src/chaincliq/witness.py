@@ -31,15 +31,19 @@ undersized set.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .chains import _parse_json, _tagged
 from .derived import DifferenceGraph
 
 WITNESS_FORMAT = "chaincliq-witness-v1"
 
 METHODS = ("greedy-good", "alon-triples", "singleton-fallback")
+
+_DIGIT_FRACTION = re.compile(r"[0-9]+(?:/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -49,30 +53,6 @@ class WitnessSet:
     indices: frozenset[int]
     method: str
     guarantee: Fraction
-
-
-@dataclass(frozen=True)
-class TripleChoice:
-    """One selected index per triple, plus which condition it violates.
-
-    bullet 1 belongs to index 3i-2 (no edge to any j > 3i-1), bullet 2 to
-    3i-1 (a missing side, recorded as "no-k" for the right side or "no-l"
-    for the left; "no-k" when both are missing), bullet 3 to 3i (no edge
-    from any m < 3i-1).
-    """
-
-    triple: int
-    chosen: int
-    bullet: int
-    side: str | None = None
-
-
-@dataclass(frozen=True)
-class TripleSelection:
-    choices: tuple[TripleChoice, ...]
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(ch.chosen for ch in self.choices)
 
 
 def greedy_guarantee(r: int) -> Fraction:
@@ -91,7 +71,6 @@ def check_independent(dg: DifferenceGraph, indices: Iterable[int]) -> bool:
     for i in indices:
         dg._check_index(i)
         mask |= 1 << (i - 1)
-    i0 = 0
     m = mask
     while m:
         low = m & -m
@@ -138,52 +117,32 @@ def greedy_good_witness(dg: DifferenceGraph) -> WitnessSet:
     )
 
 
-def select_triples(dg: DifferenceGraph) -> TripleSelection:
-    """Pick one violating owner per complete triple, smallest owner first.
+def select_triples(dg: DifferenceGraph) -> tuple[int, ...]:
+    """One violating owner per complete triple (3t-2, 3t-1, 3t), in triple order.
 
-    Raises when some triple violates nothing, which is impossible for a
-    chain-built graph and therefore flags either a bug or an adjacency
-    that was fabricated by hand.
+    An owner's place in its triple names the condition it violates: the
+    first index has no neighbor past the middle, the middle lacks a
+    neighbor on one of its sides, the last has no neighbor before the
+    middle. The smallest violating owner is taken. Raises when some
+    triple violates nothing, which is impossible for a chain-built graph
+    and therefore flags either a bug or an adjacency fabricated by hand.
     """
-    choices = []
-    for t in range(dg.r // 3):
-        a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
+    owners = []
+    for a in range(0, dg.r - 2, 3):
+        b, c = a + 1, a + 2
+        below_b = (1 << b) - 1
         if not dg.adj[a] >> c:
-            choices.append(TripleChoice(t + 1, a + 1, 1))
-            continue
-        has_k = bool(dg.adj[b] >> (b + 1))
-        has_l = bool(dg.adj[b] & ((1 << b) - 1))
-        if not (has_k and has_l):
-            side = "no-k" if not has_k else "no-l"
-            choices.append(TripleChoice(t + 1, b + 1, 2, side))
-            continue
-        if not dg.adj[c] & ((1 << b) - 1):
-            choices.append(TripleChoice(t + 1, c + 1, 3))
-            continue
-        raise ValueError(
-            f"triple {t + 1}: all three edge conditions hold, so this graph "
-            "is not the difference graph of any chain"
-        )
-    return TripleSelection(tuple(choices))
-
-
-def triple_choice_violated(dg: DifferenceGraph, choice: TripleChoice) -> bool:
-    """Re-evaluate the recorded condition of one choice; True means still violated."""
-    t = choice.triple - 1
-    a, b, c = 3 * t, 3 * t + 1, 3 * t + 2
-    if choice.bullet == 1:
-        return choice.chosen == a + 1 and not dg.adj[a] >> c
-    if choice.bullet == 2:
-        if choice.chosen != b + 1:
-            return False
-        if choice.side == "no-k":
-            return not dg.adj[b] >> (b + 1)
-        if choice.side == "no-l":
-            return not dg.adj[b] & ((1 << b) - 1)
-        return False
-    if choice.bullet == 3:
-        return choice.chosen == c + 1 and not dg.adj[c] & ((1 << b) - 1)
-    return False
+            owners.append(a + 1)
+        elif not (dg.adj[b] >> c and dg.adj[b] & below_b):
+            owners.append(b + 1)
+        elif not dg.adj[c] & below_b:
+            owners.append(c + 1)
+        else:
+            raise ValueError(
+                f"triple {a // 3 + 1}: all three edge conditions hold, so this graph "
+                "is not the difference graph of any chain"
+            )
+    return tuple(owners)
 
 
 def alon_witness(dg: DifferenceGraph) -> WitnessSet:
@@ -192,8 +151,7 @@ def alon_witness(dg: DifferenceGraph) -> WitnessSet:
     guarantee = alon_guarantee(r)
     if r < 3:
         return _certified(dg, frozenset({1}), "singleton-fallback", guarantee)
-    selection = select_triples(dg)
-    chosen0 = [ch.chosen - 1 for ch in selection.choices]
+    chosen0 = [i - 1 for i in select_triples(dg)]
     smask = 0
     for u in chosen0:
         smask |= 1 << u
@@ -236,15 +194,7 @@ def write_witness(ws: WitnessSet) -> str:
 
 def read_witness(text: str) -> WitnessSet:
     """Parse a witness document; independence must be re-checked against its graph."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("witness document must be a JSON object")
-    fmt = doc.get("format")
-    if fmt != WITNESS_FORMAT:
-        raise ValueError(f"unsupported format tag {fmt!r} (expected {WITNESS_FORMAT!r})")
+    doc = _tagged(_parse_json(text), "witness document", WITNESS_FORMAT)
     method = doc.get("method")
     if method not in METHODS:
         raise ValueError(f"unknown witness method {method!r}")
@@ -258,8 +208,11 @@ def read_witness(text: str) -> WitnessSet:
     indices = frozenset(raw)
     if len(indices) != len(raw):
         raise ValueError("field 'indices' contains duplicates")
-    try:
-        guarantee = Fraction(doc.get("guarantee"))
+    spelled = doc.get("guarantee")
+    try:  # only the digit forms str(Fraction) writes: an exponent would be expanded in full
+        guarantee = Fraction(spelled) if _DIGIT_FRACTION.fullmatch(spelled) else None
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError("field 'guarantee' must be an exact rational string") from None
+        guarantee = None
+    if guarantee is None or str(guarantee) != spelled:
+        raise ValueError("field 'guarantee' must be an exact rational string")
     return WitnessSet(indices, method, guarantee)

@@ -137,7 +137,7 @@ def test_criterion_3_witness_bounds(corpus_graphs):
         if len(triples.indices) < alon_guarantee(dg.r):
             violations += 1
         if dg.r >= 3:
-            selected = select_triples(dg).indices()
+            selected = select_triples(dg)
             smask = 0
             for i in selected:
                 smask |= 1 << (i - 1)

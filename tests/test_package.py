@@ -1,0 +1,30 @@
+"""The package exports exactly the public names its modules define."""
+
+import ast
+import importlib
+
+import chaincliq
+
+MODULES = ("graphs", "chains", "derived", "witness", "oracle", "search", "rng")
+
+
+def public_definitions(module):
+    """Top-level classes, functions and assignments without a leading underscore."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_all_is_the_public_names_of_the_library_modules():
+    defined = set()
+    for name in MODULES:
+        defined |= public_definitions(importlib.import_module(f"chaincliq.{name}"))
+    assert sorted(chaincliq.__all__) == sorted(defined)
+    assert all(hasattr(chaincliq, name) for name in chaincliq.__all__)

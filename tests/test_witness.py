@@ -18,8 +18,8 @@ from chaincliq import (
     greedy_good_witness,
     greedy_guarantee,
     read_witness,
+    enumerate_chains,
     select_triples,
-    triple_choice_violated,
     write_witness,
 )
 
@@ -38,6 +38,37 @@ def exact_alpha_by_subsets(dg):
 
 def path_dg():
     return difference_graph_from_edges(3, [(1, 2), (2, 3)])
+
+
+def owner_violates(dg, owner):
+    """Reference for the selection rule, from neighbor sets.
+
+    The owner's place p in its triple (a, b, c) names condition p, which
+    must fail while every earlier condition of the triple holds:
+    1. a has a neighbor past b, 2. b has neighbors on both sides,
+    3. c has a neighbor before b. Together these fix the owner uniquely.
+    """
+    a = owner - (owner - 1) % 3
+    b, c = a + 1, a + 2
+
+    def neighbors(i):
+        return {j for j in range(1, dg.r + 1) if dg.adj[i - 1] >> (j - 1) & 1}
+
+    holds = (
+        any(j > b for j in neighbors(a)),
+        any(j > b for j in neighbors(b)) and any(j < b for j in neighbors(b)),
+        any(j < b for j in neighbors(c)),
+    )
+    place = owner - a
+    return not holds[place] and all(holds[:place])
+
+
+def assert_selection_matches_reference(dg):
+    owners = select_triples(dg)
+    assert len(owners) == dg.r // 3
+    for t, owner in enumerate(owners, 1):
+        assert owner in (3 * t - 2, 3 * t - 1, 3 * t)
+        assert owner_violates(dg, owner)
 
 
 class TestCheckIndependent:
@@ -94,11 +125,8 @@ class TestGreedyGoodWitness:
 
 class TestTripleSelection:
     def test_path_selection(self):
-        selection = select_triples(path_dg())
-        assert len(selection.choices) == 1
-        choice = selection.choices[0]
-        assert choice.chosen == 1 and choice.bullet == 1 and choice.side is None
-        assert triple_choice_violated(path_dg(), choice)
+        assert select_triples(path_dg()) == (1,)
+        assert owner_violates(path_dg(), 1)
 
     def test_all_conditions_holding_is_rejected(self):
         # a graph no chain can produce: every condition of triple one holds
@@ -106,22 +134,25 @@ class TestTripleSelection:
         with pytest.raises(ValueError, match="not the difference graph"):
             select_triples(dg)
 
-    def test_bullet_two_side_recording(self):
-        # index 2 has a left neighbor but no right neighbor: side no-k
-        dg = difference_graph_from_edges(3, [(1, 2), (1, 3)])
-        (choice,) = select_triples(dg).choices
-        assert choice.chosen == 2 and choice.bullet == 2 and choice.side == "no-k"
-        assert triple_choice_violated(dg, choice)
+    @pytest.mark.parametrize("edges", [
+        [(1, 2), (1, 3)],  # index 2 has a left neighbor and no right one
+        [(1, 3), (2, 3)],  # index 2 has a right neighbor and no left one
+    ], ids=["no-right", "no-left"])
+    def test_middle_owner_on_either_missing_side(self, edges):
+        dg = difference_graph_from_edges(3, edges)
+        assert select_triples(dg) == (2,)
+        assert owner_violates(dg, 2)
+        assert not owner_violates(dg, 1) and not owner_violates(dg, 3)
 
     @given(chains(min_n=3))
     def test_choices_recheck_on_generated_chains(self, chain):
-        dg = build_difference_graph(chain)
-        selection = select_triples(dg)
-        assert len(selection.choices) == dg.r // 3
-        for t, choice in enumerate(selection.choices, 1):
-            assert choice.triple == t
-            assert choice.chosen in (3 * t - 2, 3 * t - 1, 3 * t)
-            assert triple_choice_violated(dg, choice)
+        assert_selection_matches_reference(build_difference_graph(chain))
+
+    @pytest.mark.parametrize("n,max_r", [(2, 2), (3, 4), (4, 4)])
+    def test_matches_the_reference_on_every_small_chain(self, n, max_r):
+        for r in range(1, max_r + 1):
+            for chain in enumerate_chains(n, r):
+                assert_selection_matches_reference(build_difference_graph(chain))
 
 
 class TestAlonWitness:
@@ -144,7 +175,7 @@ class TestAlonWitness:
         assert check_independent(dg, ws.indices)
         assert len(ws.indices) >= alon_guarantee(dg.r) >= 1
         if dg.r >= 3:
-            selected = select_triples(dg).indices()
+            selected = select_triples(dg)
             smask = 0
             for i in selected:
                 smask |= 1 << (i - 1)

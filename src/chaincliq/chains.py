@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from numbers import Real
 from typing import Iterator, Sequence
 
 from .graphs import Graph, _bits, _check_vertex_count, _slot_index, _slot_pairs, make_graph
@@ -40,8 +41,8 @@ class StepDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("single", "geometric"):
             raise ValueError(f"unknown step distribution kind {self.kind!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"step probability must be in (0, 1], got {self.p!r}")
+        if not isinstance(self.p, Real) or isinstance(self.p, bool) or not 0.0 < self.p <= 1.0:
+            raise ValueError(f"step probability must be a real number in (0, 1], got {self.p!r}")
 
 
 SINGLE_STEP = StepDistribution("single")
@@ -188,7 +189,7 @@ def _chain_doc(c: GraphChain) -> dict:
     return {
         "format": CHAIN_FORMAT,
         "n": c.n,
-        "graphs": [[list(e) for e in g.sorted_edges()] for g in c.graphs],
+        "graphs": [g.sorted_edges() for g in c.graphs],  # pair tuples, no new list per edge
     }
 
 

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
-_TRIANGULAR = frozenset(k * (k - 1) // 2 for k in range(MAX_VERTICES + 2))
+# t(t-1)/2 -> t: the only edge count at which a set spanning t vertices is a clique
+_TRIANGLE_SIDE = {t * (t - 1) // 2: t for t in range(2, MAX_VERTICES + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -130,11 +131,11 @@ def _clique_support_mask(n: int, mask: int) -> int | None:
     k*(k-1)/2 edges, because every edge already lies inside the span. The
     empty set passes vacuously with empty support.
     """
-    cnt = mask.bit_count()
-    if cnt not in _TRIANGULAR:
-        return None
     if mask == 0:
         return 0
+    side = _TRIANGLE_SIDE.get(mask.bit_count())
+    if side is None:
+        return None
     vmasks = _slot_vertex_masks(n)
     support = 0
     m = mask
@@ -142,10 +143,7 @@ def _clique_support_mask(n: int, mask: int) -> int | None:
         low = m & -m
         support |= vmasks[low.bit_length() - 1]
         m ^= low
-    k = support.bit_count()
-    if cnt != k * (k - 1) // 2:
-        return None
-    return support
+    return support if support.bit_count() == side else None
 
 
 def is_clique(s: Graph) -> frozenset[int] | None:

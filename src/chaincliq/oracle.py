@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .chains import GraphChain, _chain_doc, enumerate_chains
+from .chains import GraphChain, _chain_doc, _check_length, enumerate_chains
 from .derived import DifferenceGraph, build_difference_graph, verify_lemma_123, verify_lemma_abcd
 from .graphs import Graph, _bits, _check_vertex_count, _clique_support_mask
 from .witness import alon_guarantee, alon_witness, greedy_good_witness
@@ -192,6 +192,8 @@ def verify_theorem_exhaustive(n: int, r: int) -> TheoremReport:
     Chains arrive in canonical order, so the reported argmin, the smallest
     chain of minimum alpha, is the first chain to reach that alpha.
     """
+    _check_vertex_count(n)
+    _check_length(n, r)
     checked = 0
     min_alpha = r + 1
     argmin_chain: GraphChain | None = None

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -37,8 +38,8 @@ from .chains import (
     random_chain,
     validate_chain,
 )
-from .derived import _difference_adjacency, build_difference_graph
-from .graphs import Graph, _bits
+from .derived import _adjacency_from_steps, build_difference_graph
+from .graphs import Graph, _bits, _slot_vertex_masks
 from .oracle import MIS_CUTOFF, _mis_bitset, max_independent_set
 from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
@@ -59,6 +60,10 @@ class SearchConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for field in ("n", "r", "budget", "seed"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
 
@@ -89,6 +94,20 @@ def _chain_masks(edges: list[int], first: list[int], r: int) -> list[int]:
     for s in range(1, r):
         masks[s] |= masks[s - 1]
     return masks
+
+
+def _chain_steps(vmasks: list[int], first: list[int], r: int) -> tuple[list[int], list[int]]:
+    """Per step s, the vertex support of the edges entering at s and the edge count of G_s.
+
+    vmasks[k] is the endpoint mask of the k-th edge; this is the input of
+    _adjacency_from_steps without building any graph's edge mask.
+    """
+    steps = [0] * r
+    sizes = [0] * r
+    for vmask, step in zip(vmasks, first):
+        steps[step] |= vmask
+        sizes[step] += 1
+    return steps, list(accumulate(sizes))
 
 
 def _propose_resplit(first: list[int], r: int, rng: SplitMix64) -> list[int] | None:
@@ -129,9 +148,10 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
     edges = list(_bits(masks[-1]))
     first = [sum(not mask >> e & 1 for mask in masks) for e in edges]  # graphs missing e
+    vmasks = [_slot_vertex_masks(cfg.n)[e] for e in edges]
 
     def alpha_of(candidate: list[int]) -> int:
-        return _mis_bitset(_difference_adjacency(cfg.n, _chain_masks(edges, candidate, cfg.r)))[0]
+        return _mis_bitset(_adjacency_from_steps(*_chain_steps(vmasks, candidate, cfg.r)))[0]
 
     current_alpha = alpha_of(first)
     best_alpha = current_alpha

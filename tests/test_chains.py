@@ -90,6 +90,11 @@ class TestRandomChain:
         with pytest.raises(ValueError, match="kind"):
             StepDistribution("uniform")
 
+    @pytest.mark.parametrize("p", ["x", "0.5", None, True, [0.5]])
+    def test_non_real_probability_is_a_value_error(self, p):
+        with pytest.raises(ValueError, match="probability"):
+            StepDistribution("geometric", p)
+
     def test_geometric_full_length_forces_single_batches(self):
         # with no slack every batch clamps to one edge
         chain = random_chain(3, 4, StepDistribution("geometric", 0.3), 9)

@@ -1,6 +1,7 @@
 """Difference-graph construction and the two structural verifiers."""
 
 import json
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from chaincliq import (
     SINGLE_STEP,
+    StepDistribution,
     build_difference_graph,
     difference_graph_from_edges,
     edge_difference,
@@ -24,6 +26,7 @@ from chaincliq import (
     verify_lemma_abcd,
     write_difference_graph,
 )
+from chaincliq.graphs import _clique_support_mask
 
 from strategies import chains
 
@@ -36,6 +39,23 @@ def difference_edges_by_definition(chain):
             if is_clique(edge_difference(chain.graphs[j], chain.graphs[i])) is not None:
                 out.add((i + 1, j + 1))
     return out
+
+
+def pairwise_adjacency(n, masks):
+    """Reference build: the clique test on the edge-mask difference of every index pair."""
+    r = len(masks)
+    adj = [0] * r
+    for j in range(1, r):
+        for i in range(j):
+            if _clique_support_mask(n, masks[j] & ~masks[i]) is not None:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def assert_matches_pairwise_scan(chain):
+    expected = pairwise_adjacency(chain.n, [g.mask for g in chain.graphs])
+    assert list(build_difference_graph(chain).adj) == expected
 
 
 def abcd_by_walk(dg):
@@ -94,6 +114,28 @@ class TestBuildDifferenceGraph:
     def test_matches_definitional_scan(self, chain):
         dg = build_difference_graph(chain)
         assert set(dg.edge_pairs()) == difference_edges_by_definition(chain)
+
+    def test_matches_pairwise_scan_on_every_chain_up_to_four_vertices(self):
+        checked = 0
+        for n in range(1, 5):
+            for r in range(1, comb(n, 2) + 2):
+                for chain in enumerate_chains(n, r):
+                    assert_matches_pairwise_scan(chain)
+                    checked += 1
+        assert checked == 18786
+
+    @pytest.mark.parametrize("dist", [SINGLE_STEP, StepDistribution("geometric", 0.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_pairwise_scan_on_long_chains(self, dist, seed):
+        assert_matches_pairwise_scan(random_chain(64, 300, dist, seed))
+
+    def test_top_of_range(self):
+        # r = C(64, 2) + 1: every single-step difference is one edge, a 2-clique
+        dg = build_difference_graph(random_chain(64, 2017, SINGLE_STEP, 5))
+        assert all(dg.adj[i] >> (i + 1) & 1 for i in range(dg.r - 1))
+        assert find_triangle(dg) is None
+        assert verify_lemma_abcd(dg) is None
+        assert verify_lemma_123(dg) is None
 
 
 class TestNeighborCounts:

@@ -122,6 +122,11 @@ class TestTheoremExhaustive:
         argmin_dg = build_difference_graph(report.argmin_chain)
         assert max_independent_set(argmin_dg).alpha == report.min_alpha
 
+    @pytest.mark.parametrize("n,r", [(3, "2"), (3, 2.0), (3, True), ("3", 2), (3.0, 2), (None, 2)])
+    def test_non_integer_arguments_are_value_errors(self, n, r):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            verify_theorem_exhaustive(n, r)
+
     @pytest.mark.parametrize("n,r", [(3, 2), (3, 3), (3, 4), (4, 3)])
     def test_argmin_is_the_smallest_chain_of_minimum_alpha(self, n, r):
         report = verify_theorem_exhaustive(n, r)

@@ -24,9 +24,10 @@ from chaincliq import (
     relabel_chain,
     write_record,
 )
-from chaincliq.chains import SINGLE_STEP
-from chaincliq.graphs import _bits
-from chaincliq.search import _chain_masks, _propose_resplit, _propose_swap
+from chaincliq.chains import SINGLE_STEP, StepDistribution
+from chaincliq.derived import _adjacency_from_steps, _difference_adjacency
+from chaincliq.graphs import _bits, _slot_vertex_masks
+from chaincliq.search import _chain_masks, _chain_steps, _propose_resplit, _propose_swap
 
 from strategies import chains
 
@@ -104,6 +105,13 @@ class TestSearchConfigValidation:
         with pytest.raises(ValueError, match="budget"):
             SearchConfig(n=3, r=3, budget=0, seed=1)
 
+    @pytest.mark.parametrize("field", ["n", "r", "budget", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_fields(self, field, value):
+        fields = {"n": 3, "r": 3, "budget": 3, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**fields)
+
 
 class TestLocalSearch:
     def test_degenerate_space_returns_the_only_chain(self):
@@ -166,6 +174,33 @@ class TestMovesMatchReference:
     def test_random_chains(self, chain, seeds):
         for seed in seeds:
             assert_moves_match_reference(chain, seed)
+
+
+class TestStepsMatchMasks:
+    """The search's step supports give the build's adjacency on the search's states."""
+
+    @pytest.mark.parametrize("n,r,dist", [
+        (4, 7, SINGLE_STEP),
+        (7, 20, SINGLE_STEP),
+        (11, 56, SINGLE_STEP),
+        (12, 40, StepDistribution("geometric", 0.5)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_walks(self, n, r, dist, seed):
+        masks = [g.mask for g in random_chain(n, r, dist, seed).graphs]
+        edges = list(_bits(masks[-1]))
+        first = [_first_step(masks, 1 << e) for e in edges]
+        vmasks = [_slot_vertex_masks(n)[e] for e in edges]
+        rng = SplitMix64(seed)
+        for _ in range(200):
+            if rng.below(2):
+                candidate = _propose_resplit(first, r, rng)
+            else:
+                candidate = _propose_swap(first, rng)
+            if candidate is not None:
+                first = candidate
+            expected = _difference_adjacency(n, _chain_masks(edges, first, r))
+            assert _adjacency_from_steps(*_chain_steps(vmasks, first, r)) == expected
 
 
 class TestPinnedStreams:

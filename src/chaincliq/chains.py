@@ -50,10 +50,29 @@ SINGLE_STEP = StepDistribution("single")
 
 @dataclass(frozen=True)
 class GraphChain:
-    """A strictly nested sequence of graphs; build via validate_chain or a generator."""
+    """A strictly nested sequence of distinct graphs on {1..n}.
+
+    Construction checks nesting, distinctness and vertex counts.
+    Strictness between consecutive graphs is what bounds the length by
+    C(n, 2) + 1, so no separate length check is needed.
+    """
 
     n: int
     graphs: tuple[Graph, ...]
+
+    def __post_init__(self) -> None:
+        graphs = self.graphs
+        if not graphs:
+            raise ValueError("chain must contain at least one graph")
+        for g in graphs:
+            if g.n != self.n:
+                raise ValueError(f"mismatched vertex counts: chain has n={self.n}, graph has n={g.n}")
+        for k in range(len(graphs) - 1):
+            a, b = graphs[k].mask, graphs[k + 1].mask
+            if a == b:
+                raise ValueError(f"graphs {k + 1} and {k + 2} are equal (distinctness violation)")
+            if a & ~b:
+                raise ValueError(f"graphs {k + 1} and {k + 2} are not nested")
 
     @property
     def r(self) -> int:
@@ -61,22 +80,7 @@ class GraphChain:
 
 
 def validate_chain(n: int, graphs: Sequence[Graph]) -> GraphChain:
-    """Check nesting, distinctness and vertex counts; return the chain.
-
-    Strictness between consecutive graphs is what bounds the length by
-    C(n, 2) + 1, so no separate length check is needed.
-    """
-    if not graphs:
-        raise ValueError("chain must contain at least one graph")
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"mismatched vertex counts: chain has n={n}, graph has n={g.n}")
-    for k in range(len(graphs) - 1):
-        a, b = graphs[k], graphs[k + 1]
-        if a.mask == b.mask:
-            raise ValueError(f"graphs {k + 1} and {k + 2} are equal (distinctness violation)")
-        if a.mask & ~b.mask:
-            raise ValueError(f"graphs {k + 1} and {k + 2} are not nested")
+    """Check nesting, distinctness and vertex counts; return the chain."""
     return GraphChain(n, tuple(graphs))
 
 
@@ -130,11 +134,11 @@ def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
     m = _check_length(n, r)
     full = (1 << m) - 1
 
-    def extend(prefix: list[int]) -> Iterator[GraphChain]:
+    def extend(prefix: list[Graph]) -> Iterator[GraphChain]:
         if len(prefix) == r:
-            yield GraphChain(n, tuple(Graph(n, mk) for mk in prefix))
+            yield GraphChain(n, tuple(prefix))
             return
-        last = prefix[-1]
+        last = prefix[-1].mask
         if r - len(prefix) > m - last.bit_count():
             return
         comp = full & ~last
@@ -143,12 +147,12 @@ def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
             y = (y - comp) & comp
             if y == 0:
                 return
-            prefix.append(last | y)
+            prefix.append(Graph(n, last | y))
             yield from extend(prefix)
             prefix.pop()
 
     for first in range(full + 1):
-        yield from extend([first])
+        yield from extend([Graph(n, first)])
 
 
 def reverse_chain(c: GraphChain) -> GraphChain:

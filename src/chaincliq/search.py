@@ -40,7 +40,7 @@ from .chains import (
 )
 from .derived import _adjacency_from_steps, build_difference_graph
 from .graphs import Graph, _bits, _slot_vertex_masks
-from .oracle import MIS_CUTOFF, _mis_bitset, max_independent_set
+from .oracle import _mis_bitset, max_independent_set
 from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
 
@@ -142,8 +142,6 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     The timestamp is pure metadata; pass one explicitly to make the whole
     record a deterministic function of the inputs.
     """
-    if cfg.r > MIS_CUTOFF:
-        raise ValueError(f"r={cfg.r} exceeds the exact-search cutoff {MIS_CUTOFF}")
     rng = SplitMix64(cfg.seed)
     masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
     edges = list(_bits(masks[-1]))

@@ -1,12 +1,13 @@
-"""Shared hypothesis strategies: seeded chains and crafted vertex subsets."""
+"""Shared test helpers: seeded-chain strategies, crafted vertex subsets, a naive solver."""
 
 from math import comb
 
 from hypothesis import strategies as st
 
-from chaincliq import SINGLE_STEP, StepDistribution, random_chain
+from chaincliq import OracleReport, SINGLE_STEP, StepDistribution, random_chain
 
 MAX_SEED = 2**64 - 1
+NAIVE_CUTOFF = 20
 
 
 @st.composite
@@ -32,3 +33,30 @@ def vertex_subsets(draw, n, min_size=2):
         st.sets(st.integers(min_value=1, max_value=n), min_size=min_size, max_size=n)
     )
     return frozenset(members)
+
+
+def naive_max_independent_set(dg):
+    """Exact alpha by sweeping all 2^r subsets; the reference for the branch and bound.
+
+    A subset is independent iff dropping its lowest index leaves an
+    independent set and that index has no neighbor inside the subset.
+    nodes_explored counts the 2^r subsets swept.
+    """
+    r = dg.r
+    if r > NAIVE_CUTOFF:
+        raise ValueError(f"r={r} exceeds the naive-enumeration cutoff {NAIVE_CUTOFF}")
+    total = 1 << r
+    ok = bytearray(total)
+    ok[0] = 1
+    best = 0
+    best_mask = 0
+    for s in range(1, total):
+        low = s & -s
+        rest = s ^ low
+        if ok[rest] and not dg.adj[low.bit_length() - 1] & rest:
+            ok[s] = 1
+            size = s.bit_count()
+            if size > best:
+                best, best_mask = size, s
+    optimum = frozenset(i + 1 for i in range(r) if best_mask >> i & 1)
+    return OracleReport(best, optimum, total)

@@ -31,7 +31,6 @@ from chaincliq import (
     local_search_min_ratio,
     max_cliquepair_free_family,
     max_independent_set,
-    naive_max_independent_set,
     random_chain,
     read_chain,
     read_difference_graph,
@@ -47,6 +46,8 @@ from chaincliq import (
     write_witness,
 )
 from chaincliq.search import _record_from_doc
+
+from strategies import naive_max_independent_set
 
 CORPUS_SIZE = 10_000
 

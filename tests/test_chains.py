@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincliq import (
+    GraphChain,
     SINGLE_STEP,
     StepDistribution,
     enumerate_chains,
@@ -50,6 +51,24 @@ class TestValidateChain:
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="at least one"):
             validate_chain(3, [])
+
+
+class TestGraphChainConstructor:
+    """Building a GraphChain directly checks the same invariant as validate_chain."""
+
+    def test_rejects_non_nested_pair(self):
+        graphs = (make_graph(3, [(1, 2), (1, 3)]), make_graph(3, [(2, 3)]))
+        with pytest.raises(ValueError, match="graphs 1 and 2 are not nested"):
+            GraphChain(3, graphs)
+
+    def test_rejects_equal_graphs(self):
+        g = make_graph(3, [(1, 2)])
+        with pytest.raises(ValueError, match="distinctness"):
+            GraphChain(3, (make_graph(3, []), g, g))
+
+    def test_rejects_mismatched_n(self):
+        with pytest.raises(ValueError, match="chain has n=3, graph has n=4"):
+            GraphChain(3, (make_graph(3, []), make_graph(4, [(1, 2)])))
 
 
 class TestRandomChain:

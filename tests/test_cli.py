@@ -130,22 +130,27 @@ class TestVerify:
         ]
         assert captured.err.count("PASS") == len(names)
 
-    def test_oracle_check_skipped_above_cutoff(self, tmp_path, capsys):
-        _, path = gen_chain_file(tmp_path, n=12, r=65, seed=4)
+    def test_oracle_check_runs_past_64_indices(self, tmp_path, capsys):
+        chain, path = gen_chain_file(tmp_path, n=12, r=65, seed=4)
         assert run_cli(["verify", "--in", str(path)]) == 0
         captured = capsys.readouterr()
         checks = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+        alpha = max_independent_set(build_difference_graph(chain)).alpha
         assert checks["oracle-alpha"]["pass"] is True
-        assert checks["oracle-alpha"]["detail"].startswith("skipped:")
-        assert "SKIP oracle-alpha: skipped:" in captured.err
+        assert checks["oracle-alpha"]["detail"].startswith(f"alpha {alpha} vs witness sizes")
+        assert f"PASS oracle-alpha: alpha {alpha}" in captured.err
+        assert "SKIP" not in captured.err
 
     def test_large_r_chain_verifies(self, tmp_path, capsys):
-        _, path = gen_chain_file(tmp_path, n=30, r=250, seed=6)
+        chain, path = gen_chain_file(tmp_path, n=30, r=250, seed=6)
         assert run_cli(["verify", "--in", str(path)]) == 0
-        summary = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        alpha = max_independent_set(build_difference_graph(chain)).alpha
         assert summary["all_pass"] is True and summary["r"] == 250
         assert summary["checks"][-1]["name"] == "oracle-alpha"
-        assert summary["checks"][-1]["detail"].startswith("skipped:")
+        assert summary["checks"][-1]["detail"].startswith(f"alpha {alpha} vs witness sizes")
+        assert "SKIP" not in captured.err
 
     def test_empty_records_file_is_a_domain_error(self, tmp_path, capsys):
         path = tmp_path / "records.ldjson"

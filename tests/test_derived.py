@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from chaincliq import (
     SINGLE_STEP,
     StepDistribution,
+    best_witness,
     build_difference_graph,
+    check_independent,
     difference_graph_from_edges,
     edge_difference,
     enumerate_chains,
     find_triangle,
     is_clique,
     make_graph,
+    max_independent_set,
     neighbor_counts,
     random_chain,
     read_difference_graph,
@@ -136,6 +139,11 @@ class TestBuildDifferenceGraph:
         assert find_triangle(dg) is None
         assert verify_lemma_abcd(dg) is None
         assert verify_lemma_123(dg) is None
+        # consecutive indices form a path, so alpha is at most ceil(2017 / 2)
+        report = max_independent_set(dg)
+        assert check_independent(dg, report.optimum)
+        assert len(report.optimum) == report.alpha
+        assert len(best_witness(dg).indices) <= report.alpha <= 1009
 
 
 class TestNeighborCounts:

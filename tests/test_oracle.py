@@ -23,19 +23,40 @@ from chaincliq import (
     make_graph,
     max_cliquepair_free_family,
     max_independent_set,
-    naive_max_independent_set,
     random_chain,
+    validate_chain,
     verify_theorem_exhaustive,
+    write_chain,
     write_family_report,
     write_oracle_report,
     write_theorem_report,
 )
+from chaincliq.cli import run_cli
 
-from strategies import chains
+from strategies import chains, naive_max_independent_set
 
 
 def path_dg():
     return difference_graph_from_edges(3, [(1, 2), (2, 3)])
+
+
+GADGET_ORDER = [(2, 4), (1, 4), (4, 5), (1, 5), (3, 5), (2, 5), (2, 3), (3, 4), (1, 3), (1, 2)]
+
+
+def gadget_chain(blocks):
+    """From the empty graph, fill K_5 on each block of five vertices in turn.
+
+    One block alone is a chain of 11 graphs whose difference graph has
+    alpha 5; each further block adds ten indices and five to alpha.
+    """
+    n = 5 * blocks
+    edges = []
+    graphs = [make_graph(n, edges)]
+    for k in range(blocks):
+        for u, v in GADGET_ORDER:
+            edges.append((5 * k + u, 5 * k + v))
+            graphs.append(make_graph(n, edges))
+    return validate_chain(n, graphs)
 
 
 class TestMaxIndependentSet:
@@ -50,19 +71,24 @@ class TestMaxIndependentSet:
 
     def test_single_edge_graph(self):
         chain = [make_graph(2, []), make_graph(2, [(1, 2)])]
-        from chaincliq import validate_chain
-
         dg = build_difference_graph(validate_chain(2, chain))
         assert max_independent_set(dg).alpha == 1
-
-    def test_cutoff_guard(self):
-        dg = difference_graph_from_edges(65, [])
-        with pytest.raises(ValueError, match="cutoff"):
-            max_independent_set(dg)
 
     def test_deterministic_report(self):
         dg = build_difference_graph(random_chain(6, 14, SINGLE_STEP, 77))
         assert max_independent_set(dg) == max_independent_set(dg)
+
+    def test_gadget_chain_past_64_indices(self, tmp_path, capsys):
+        chain = gadget_chain(12)
+        assert chain.r == 121
+        report = max_independent_set(build_difference_graph(chain))
+        assert report.alpha == 60 == len(report.optimum)
+        path = tmp_path / "gadgets.json"
+        path.write_text(write_chain(chain) + "\n")
+        assert run_cli(["verify", "--in", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["all_pass"] is True
+        assert summary["checks"][-1]["detail"].startswith("alpha 60 vs witness sizes")
 
 
 class TestNaiveCrossCheck:

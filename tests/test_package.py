@@ -1,7 +1,9 @@
-"""The package exports exactly the public names its modules define."""
+"""The package exports exactly the public names its modules define, and needs only the stdlib."""
 
 import ast
 import importlib
+import sys
+from pathlib import Path
 
 import chaincliq
 
@@ -28,3 +30,18 @@ def test_all_is_the_public_names_of_the_library_modules():
         defined |= public_definitions(importlib.import_module(f"chaincliq.{name}"))
     assert sorted(chaincliq.__all__) == sorted(defined)
     assert all(hasattr(chaincliq, name) for name in chaincliq.__all__)
+
+
+def test_every_import_is_relative_or_stdlib():
+    sources = sorted(Path(chaincliq.__file__).parent.glob("*.py"))
+    assert len(sources) >= len(MODULES)
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names, f"{source.name} imports {root}"

@@ -153,9 +153,14 @@ class TestLocalSearch:
         with pytest.raises(ValueError, match="seed"):
             local_search_min_ratio(SearchConfig(n=4, r=5, budget=10, seed=seed), timestamp=STAMP)
 
-    def test_cutoff_guard(self):
-        with pytest.raises(ValueError, match="cutoff"):
-            local_search_min_ratio(SearchConfig(n=12, r=65, budget=1, seed=0))
+    def test_searches_past_64_indices(self, tmp_path):
+        rec = local_search_min_ratio(SearchConfig(12, 65, 20, 0), timestamp=STAMP)
+        assert rec.chain.r == 65
+        replay = SearchConfig(rec.chain.n, rec.chain.r, rec.budget, rec.seed)
+        assert local_search_min_ratio(replay, timestamp=rec.timestamp) == rec
+        path = tmp_path / "records.ldjson"
+        append_record(path, rec)
+        assert load_records(path, verify=True) == [rec]
 
     def test_infeasible_length_propagates(self):
         with pytest.raises(ValueError, match=r"r exceeds C\(n,2\)\+1"):

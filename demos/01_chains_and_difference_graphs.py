@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chaincliq import (
+    GraphChain,
     SINGLE_STEP,
     StepDistribution,
     build_difference_graph,
@@ -22,7 +23,6 @@ from chaincliq import (
     neighbor_counts,
     random_chain,
     reverse_chain,
-    validate_chain,
     verify_lemma_123,
     verify_lemma_abcd,
     write_chain,
@@ -32,13 +32,13 @@ print("=" * 72)
 print("A hand-built chain on 3 vertices")
 print("=" * 72)
 
-chain = validate_chain(
+chain = GraphChain(
     3,
-    [
+    (
         make_graph(3, [(1, 2)]),
         make_graph(3, [(1, 2), (1, 3)]),
         make_graph(3, [(1, 2), (1, 3), (2, 3)]),
-    ],
+    ),
 )
 for i, g in enumerate(chain.graphs, 1):
     print(f"  G_{i}: {sorted(g.edges)}")

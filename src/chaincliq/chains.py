@@ -18,7 +18,7 @@ from math import comb
 from numbers import Real
 from typing import Iterator, Sequence
 
-from .graphs import Graph, _bits, _check_vertex_count, _slot_index, _slot_pairs, make_graph
+from .graphs import Graph, _bits, _check_vertex_count, _slot_index, _slot_pairs
 from .rng import SplitMix64
 
 CHAIN_FORMAT = "chaincliq-chain-v1"
@@ -79,11 +79,6 @@ class GraphChain:
         return len(self.graphs)
 
 
-def validate_chain(n: int, graphs: Sequence[Graph]) -> GraphChain:
-    """Check nesting, distinctness and vertex counts; return the chain."""
-    return GraphChain(n, tuple(graphs))
-
-
 def _check_length(n: int, r: int) -> int:
     m = comb(n, 2)
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
@@ -121,7 +116,7 @@ def random_chain(n: int, r: int, dist: StepDistribution, seed: int) -> GraphChai
             slot = free.pop(rng.below(len(free)))
             mask |= 1 << slot
         masks.append(mask)
-    return validate_chain(n, [Graph(n, mk) for mk in masks])
+    return GraphChain(n, tuple(Graph(n, mk) for mk in masks))
 
 
 def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
@@ -166,12 +161,13 @@ def reverse_chain(c: GraphChain) -> GraphChain:
     """
     top = c.graphs[-1].mask
     masks = [top & ~c.graphs[c.r - 1 - i].mask for i in range(c.r)]
-    return validate_chain(c.n, [Graph(c.n, mk) for mk in masks])
+    return GraphChain(c.n, tuple(Graph(c.n, mk) for mk in masks))
 
 
 def relabel_chain(c: GraphChain, perm: Sequence[int]) -> GraphChain:
     """Apply a vertex permutation (perm[u-1] is the image of u) to every graph."""
-    if sorted(perm) != list(range(1, c.n + 1)):
+    ints = isinstance(perm, Sequence) and all(type(p) is int for p in perm)
+    if not ints or sorted(perm) != list(range(1, c.n + 1)):
         raise ValueError(f"perm must be a permutation of 1..{c.n}")
     index = _slot_index(c.n)
     slot_map = []
@@ -186,7 +182,7 @@ def relabel_chain(c: GraphChain, perm: Sequence[int]) -> GraphChain:
         for b in _bits(g.mask):
             mask |= 1 << slot_map[b]
         graphs.append(Graph(c.n, mask))
-    return validate_chain(c.n, graphs)
+    return GraphChain(c.n, tuple(graphs))
 
 
 def _chain_doc(c: GraphChain) -> dict:
@@ -223,27 +219,30 @@ def _chain_from_doc(doc: object) -> GraphChain:
     entries = doc.get("graphs")
     if not isinstance(entries, list) or not entries:
         raise ValueError("field 'graphs' must be a nonempty list")
+    try:
+        _check_vertex_count(n)  # before _slot_index(n) builds a table of C(n, 2) pairs
+    except ValueError as exc:
+        raise ValueError(f"graph 1: {exc}") from None
+    index = _slot_index(n)  # keys are exactly the edges [u, v] with 1 <= u < v <= n
     graphs = []
     for gi, entry in enumerate(entries, 1):
         if not isinstance(entry, list):
             raise ValueError(f"graph {gi}: must be a list of edges")
-        pairs = []
+        mask = 0
         for e in entry:
-            if (
-                not isinstance(e, list)
-                or len(e) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-            ):
+            if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
                 raise ValueError(f"graph {gi}: edge {e!r} must be a two-element integer array")
             u, v = e
-            if u >= v:
-                raise ValueError(f"graph {gi}: edge [{u}, {v}] must satisfy u < v")
-            pairs.append((u, v))
-        try:
-            graphs.append(make_graph(n, pairs))
-        except ValueError as exc:
-            raise ValueError(f"graph {gi}: {exc}") from None
-    return validate_chain(n, graphs)
+            slot = index.get((u, v))
+            if slot is None:
+                if u >= v:
+                    raise ValueError(f"graph {gi}: edge [{u}, {v}] must satisfy u < v")
+                raise ValueError(f"graph {gi}: edge ({u}, {v}) has an endpoint outside [1, {n}]")
+            if mask >> slot & 1:
+                raise ValueError(f"graph {gi}: duplicate edge ({u}, {v})")
+            mask |= 1 << slot
+        graphs.append(Graph(n, mask))
+    return GraphChain(n, tuple(graphs))
 
 
 def write_chain(c: GraphChain) -> str:

@@ -143,7 +143,10 @@ def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> Dif
     if r > longest:
         raise ValueError(f"index count {r} exceeds the longest chain length {longest}")
     adj = [0] * r
-    for i, j in edges:
+    for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise ValueError(f"index pair {e!r} must be a pair of indices")
+        i, j = e
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
             raise ValueError(f"index pair ({i!r}, {j!r}) must be integers")
         if not (1 <= i < j <= r):
@@ -241,9 +244,4 @@ def read_difference_graph(text: str) -> DifferenceGraph:
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise ValueError("field 'edges' must be a list")
-    pairs = []
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ValueError(f"edge {e!r} must be a two-element integer array")
-        pairs.append((e[0], e[1]))
-    return difference_graph_from_edges(r, pairs)
+    return difference_graph_from_edges(r, edges)

@@ -89,7 +89,10 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     _check_vertex_count(n)
     index = _slot_index(n)
     mask = 0
-    for u, v in edges:
+    for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} must be a pair of endpoints")
+        u, v = e
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
             raise ValueError(f"edge ({u!r}, {v!r}) must have integer endpoints")
         if u == v:

@@ -36,7 +36,6 @@ from .chains import (
     _parse_json,
     _tagged,
     random_chain,
-    validate_chain,
 )
 from .derived import _adjacency_from_steps, build_difference_graph
 from .graphs import Graph, _bits, _slot_vertex_masks
@@ -177,7 +176,7 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
             current_alpha = alpha
             accepted += 1
     best_masks = _chain_masks(edges, best_first, cfg.r)
-    chain = validate_chain(cfg.n, [Graph(cfg.n, mk) for mk in best_masks])
+    chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mk) for mk in best_masks))
     ratio = Fraction(best_alpha, cfg.r)
     if ratio < Fraction(alon_guarantee(cfg.r), cfg.r):
         raise AssertionError("search produced a ratio below the proven floor")

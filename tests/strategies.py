@@ -1,5 +1,7 @@
-"""Shared test helpers: seeded-chain strategies, crafted vertex subsets, a naive solver."""
+"""Shared test helpers: seeded-chain strategies, one-value document mutations,
+crafted vertex subsets, a naive solver."""
 
+import json
 from math import comb
 
 from hypothesis import strategies as st
@@ -25,6 +27,30 @@ def chains(draw, min_n=2, max_n=7, max_r=12):
     dist = draw(step_distributions())
     seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
     return random_chain(n, r, dist, seed)
+
+
+text_chars = st.characters(blacklist_categories=("Cs",))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(text_chars, max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(text_chars, max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def one_value_replaced(draw, text):
+    """The JSON document `text` with one value, at a drawn depth, replaced."""
+    doc = json.loads(text)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        else:
+            node[key] = draw(json_values)
+            return json.dumps(doc)
 
 
 @st.composite

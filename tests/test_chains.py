@@ -1,14 +1,16 @@
 """Chain validation, generation, enumeration, mirroring, serialization."""
 
 import json
+import time
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincliq import (
+    CHAIN_FORMAT,
     GraphChain,
     SINGLE_STEP,
     StepDistribution,
@@ -18,11 +20,11 @@ from chaincliq import (
     read_chain,
     relabel_chain,
     reverse_chain,
-    validate_chain,
     write_chain,
 )
+from chaincliq.chains import _parse_json, _tagged
 
-from strategies import MAX_SEED, chains, step_distributions
+from strategies import MAX_SEED, chains, one_value_replaced, step_distributions
 
 
 def masks_of(chain):
@@ -30,31 +32,33 @@ def masks_of(chain):
 
 
 class TestValidateChain:
+    """A GraphChain validates itself: nested, distinct graphs on n vertices, at least one."""
+
     def test_accepts_nested_distinct_sequence(self):
-        graphs = [make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)])]
-        chain = validate_chain(3, graphs)
+        graphs = (make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)]))
+        chain = GraphChain(3, graphs)
         assert chain.r == 3
 
     def test_rejects_equal_consecutive_graphs(self):
         g = make_graph(3, [(1, 2)])
         with pytest.raises(ValueError, match="distinctness"):
-            validate_chain(3, [g, g])
+            GraphChain(3, (g, g))
 
     def test_rejects_non_nested_pair(self):
         with pytest.raises(ValueError, match="not nested"):
-            validate_chain(3, [make_graph(3, [(1, 2)]), make_graph(3, [(1, 3)])])
+            GraphChain(3, (make_graph(3, [(1, 2)]), make_graph(3, [(1, 3)])))
 
     def test_rejects_mismatched_n(self):
         with pytest.raises(ValueError, match="mismatched"):
-            validate_chain(3, [make_graph(4, [])])
+            GraphChain(3, (make_graph(4, []),))
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="at least one"):
-            validate_chain(3, [])
+            GraphChain(3, ())
 
 
 class TestGraphChainConstructor:
-    """Building a GraphChain directly checks the same invariant as validate_chain."""
+    """Faults past the first pair of graphs are named with their positions."""
 
     def test_rejects_non_nested_pair(self):
         graphs = (make_graph(3, [(1, 2), (1, 3)]), make_graph(3, [(2, 3)]))
@@ -121,7 +125,7 @@ class TestRandomChain:
 
     @given(chains())
     def test_generated_chains_revalidate(self, chain):
-        assert validate_chain(chain.n, chain.graphs) == chain
+        assert GraphChain(chain.n, chain.graphs) == chain
 
     @given(st.integers(min_value=0, max_value=MAX_SEED), step_distributions())
     def test_bit_identical_across_runs(self, seed, dist):
@@ -152,7 +156,7 @@ class TestEnumerateChains:
         assert seen == sorted(seen)
         assert len(seen) == len(set(seen))
         for c in enumerate_chains(3, 3):
-            validate_chain(c.n, c.graphs)
+            GraphChain(c.n, c.graphs)
 
     def test_rejects_out_of_range_length(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -161,12 +165,12 @@ class TestEnumerateChains:
 
 class TestReverseChain:
     def test_two_element_chain_is_self_mirror(self):
-        chain = validate_chain(2, [make_graph(2, []), make_graph(2, [(1, 2)])])
+        chain = GraphChain(2, (make_graph(2, []), make_graph(2, [(1, 2)])))
         assert reverse_chain(chain) == chain
 
     def test_forced_small_example(self):
-        chain = validate_chain(
-            3, [make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)])]
+        chain = GraphChain(
+            3, (make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)]))
         )
         mirrored = reverse_chain(chain)
         assert [g.edges for g in mirrored.graphs] == [
@@ -187,20 +191,29 @@ class TestRelabelChain:
         assert relabel_chain(chain, [1, 2, 3, 4]) == chain
 
     def test_swap_permutation(self):
-        chain = validate_chain(3, [make_graph(3, []), make_graph(3, [(1, 2)])])
+        chain = GraphChain(3, (make_graph(3, []), make_graph(3, [(1, 2)])))
         relabeled = relabel_chain(chain, [3, 2, 1])
         assert relabeled.graphs[1].edges == {(2, 3)}
+        assert relabel_chain(chain, (3, 2, 1)) == relabeled
 
     def test_rejects_non_permutation(self):
         chain = random_chain(3, 2, SINGLE_STEP, 0)
         with pytest.raises(ValueError, match="permutation"):
             relabel_chain(chain, [1, 1, 2])
 
+    @pytest.mark.parametrize(
+        "perm", [["a", 1, 2], None, [3.0, 2.0, 1.0], [True, 2, 3], [3, 2], 3, "321"]
+    )
+    def test_permutation_must_be_n_non_bool_ints(self, perm):
+        chain = random_chain(3, 2, SINGLE_STEP, 0)
+        with pytest.raises(ValueError, match=r"perm must be a permutation of 1\.\.3"):
+            relabel_chain(chain, perm)
+
 
 class TestChainSerialization:
     def test_written_document_shape(self):
-        chain = validate_chain(
-            3, [make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)])]
+        chain = GraphChain(
+            3, (make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)]))
         )
         text = write_chain(chain)
         assert text == (
@@ -241,6 +254,82 @@ class TestChainSerialization:
         doc = {"format": "chaincliq-chain-v1", "n": 3, "graphs": []}
         with pytest.raises(ValueError, match="nonempty"):
             read_chain(json.dumps(doc))
+
+
+def two_pass_read_chain(text):
+    """The reference reader: shape, type and order of every edge, then make_graph per graph."""
+    doc = _tagged(_parse_json(text), "chain document", CHAIN_FORMAT)
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("field 'n' must be an integer")
+    entries = doc.get("graphs")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("field 'graphs' must be a nonempty list")
+    graphs = []
+    for gi, entry in enumerate(entries, 1):
+        if not isinstance(entry, list):
+            raise ValueError(f"graph {gi}: must be a list of edges")
+        pairs = []
+        for e in entry:
+            if (
+                not isinstance(e, list)
+                or len(e) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+            ):
+                raise ValueError(f"graph {gi}: edge {e!r} must be a two-element integer array")
+            u, v = e
+            if u >= v:
+                raise ValueError(f"graph {gi}: edge [{u}, {v}] must satisfy u < v")
+            pairs.append((u, v))
+        try:
+            graphs.append(make_graph(n, pairs))
+        except ValueError as exc:
+            raise ValueError(f"graph {gi}: {exc}") from None
+    return GraphChain(n, tuple(graphs))
+
+
+def chain_text(n=3, last_edge=None):
+    """A valid n=3 chain document, or the same with one more edge in its last graph."""
+    graphs = [[], [[1, 2]], [[1, 2], [2, 3]]]
+    if last_edge is not None:
+        graphs[-1].append(last_edge)
+    return json.dumps({"format": CHAIN_FORMAT, "n": n, "graphs": graphs})
+
+
+SINGLE_FAULTS = {
+    **{
+        f"edge{edge}": chain_text(last_edge=edge)
+        for edge in ([1, 1], [2, 1], [0, 1], [1, 4], [True, 2], [1.0, 2], [1], [1, 2])
+    },
+    **{f"n={n!r}": chain_text(n=n) for n in (0, -1, 65, 10**9, "3")},
+}
+
+chain_texts = chains(max_n=7, max_r=20).map(write_chain)
+
+
+class TestOnePassReader:
+    """read_chain checks each edge once and agrees with the two-pass reference."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(chain_texts, chain_texts.flatmap(one_value_replaced)))
+    def test_agrees_with_two_pass_reference(self, text):
+        try:
+            expected = two_pass_read_chain(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_chain(text)
+        else:
+            assert read_chain(text) == expected
+
+    @pytest.mark.parametrize("text", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS.keys())
+    def test_single_fault_message_is_unchanged(self, text):
+        with pytest.raises(ValueError) as expected:
+            two_pass_read_chain(text)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as got:
+            read_chain(text)
+        assert time.perf_counter() - start < 1.0
+        assert str(got.value) == str(expected.value)
 
 
 def test_chain_length_cap_by_construction():

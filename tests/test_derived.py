@@ -1,6 +1,7 @@
 """Difference-graph construction and the two structural verifiers."""
 
 import json
+import re
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincliq import (
+    GraphChain,
     SINGLE_STEP,
     StepDistribution,
     best_witness,
@@ -24,7 +26,6 @@ from chaincliq import (
     random_chain,
     read_difference_graph,
     reverse_chain,
-    validate_chain,
     verify_lemma_123,
     verify_lemma_abcd,
     write_difference_graph,
@@ -87,13 +88,13 @@ def adjacencies(draw, max_r=16):
 
 def path_example():
     """Three-step chain whose difference graph is the path 1-2-3."""
-    return validate_chain(
+    return GraphChain(
         3,
-        [
+        (
             make_graph(3, [(1, 2)]),
             make_graph(3, [(1, 2), (1, 3)]),
             make_graph(3, [(1, 2), (1, 3), (2, 3)]),
-        ],
+        ),
     )
 
 
@@ -105,11 +106,11 @@ class TestBuildDifferenceGraph:
         assert difference_edges_by_definition(chain) == {(1, 2), (2, 3)}
 
     def test_two_step_chain_gives_one_edge(self):
-        chain = validate_chain(2, [make_graph(2, []), make_graph(2, [(1, 2)])])
+        chain = GraphChain(2, (make_graph(2, []), make_graph(2, [(1, 2)])))
         assert build_difference_graph(chain).edge_pairs() == ((1, 2),)
 
     def test_length_one_chain_is_edgeless(self):
-        chain = validate_chain(3, [make_graph(3, [(1, 2)])])
+        chain = GraphChain(3, (make_graph(3, [(1, 2)]),))
         dg = build_difference_graph(chain)
         assert dg.r == 1 and dg.edge_pairs() == ()
 
@@ -303,3 +304,11 @@ class TestDifferenceGraphSerialization:
             read_difference_graph(json.dumps({**base, "edges": [[1, 4]]}))
         with pytest.raises(ValueError, match="duplicate"):
             read_difference_graph(json.dumps({**base, "edges": [[1, 2], [1, 2]]}))
+
+    @pytest.mark.parametrize("item", [5, (1, 2, 3), (1,), None])
+    def test_index_pair_must_be_a_pair(self, item):
+        with pytest.raises(ValueError, match=rf"index pair {re.escape(repr(item))} must be a pair"):
+            difference_graph_from_edges(3, [item])
+        doc = json.dumps({"format": "chaincliq-dgraph-v1", "r": 3, "edges": [item]})
+        with pytest.raises(ValueError, match="must be a pair of indices"):
+            read_difference_graph(doc)

@@ -34,21 +34,13 @@ from chaincliq import (
 )
 from chaincliq.cli import run_cli
 
-from strategies import chains
+from strategies import chains, one_value_replaced, text_chars
 
 STAMP = "2026-01-01T00:00:00Z"
 DEEP = "[" * 100_000
 
 READERS = (read_chain, read_difference_graph, read_witness)
 COMMANDS = (["derive"], ["witness"], ["oracle"], ["verify"], ["verify", "--verify"])
-
-text_chars = st.characters(blacklist_categories=("Cs",))
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(text_chars, max_size=12),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(text_chars, max_size=8), inner, max_size=4),
-    max_leaves=10,
-)
 
 
 def valid_documents(chain):
@@ -85,16 +77,8 @@ PINNED = (
 def mutated_documents(draw):
     """A valid document with one value, at a drawn depth, replaced."""
     chain = draw(chains(max_n=7, max_r=20))
-    doc = json.loads(draw(st.sampled_from(list(valid_documents(chain).values()))))
-    node = doc
-    while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-        child = node[key]
-        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-            node = child
-        else:
-            node[key] = draw(json_values)
-            return json.dumps(doc)
+    text = draw(st.sampled_from(list(valid_documents(chain).values())))
+    return draw(one_value_replaced(text))
 
 
 def run_quietly(argv):

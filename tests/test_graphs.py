@@ -1,5 +1,6 @@
 """The graph value type and the clique predicate."""
 
+import re
 from math import comb
 
 import pytest
@@ -42,6 +43,11 @@ class TestMakeGraph:
     def test_rejects_duplicate_after_normalization(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_graph(3, [(1, 2), (2, 1)])
+
+    @pytest.mark.parametrize("item", [1, (1, 2, 3), (1,), None])
+    def test_edge_must_be_a_pair(self, item):
+        with pytest.raises(ValueError, match=rf"edge {re.escape(repr(item))} must be a pair"):
+            make_graph(3, [item])
 
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError, match="positive integer"):

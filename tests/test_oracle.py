@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from chaincliq import (
     Graph,
+    GraphChain,
     SINGLE_STEP,
     alon_guarantee,
     build_difference_graph,
@@ -24,7 +25,6 @@ from chaincliq import (
     max_cliquepair_free_family,
     max_independent_set,
     random_chain,
-    validate_chain,
     verify_theorem_exhaustive,
     write_chain,
     write_family_report,
@@ -56,7 +56,7 @@ def gadget_chain(blocks):
         for u, v in GADGET_ORDER:
             edges.append((5 * k + u, 5 * k + v))
             graphs.append(make_graph(n, edges))
-    return validate_chain(n, graphs)
+    return GraphChain(n, tuple(graphs))
 
 
 class TestMaxIndependentSet:
@@ -70,8 +70,8 @@ class TestMaxIndependentSet:
         assert report.alpha == 5 and report.optimum == {1, 2, 3, 4, 5}
 
     def test_single_edge_graph(self):
-        chain = [make_graph(2, []), make_graph(2, [(1, 2)])]
-        dg = build_difference_graph(validate_chain(2, chain))
+        chain = GraphChain(2, (make_graph(2, []), make_graph(2, [(1, 2)])))
+        dg = build_difference_graph(chain)
         assert max_independent_set(dg).alpha == 1
 
     def test_deterministic_report(self):

@@ -7,7 +7,11 @@ generators happen to start from the empty graph, while the exhaustive
 enumerator covers every starting point.
 
 Serialization is a single canonical JSON document per chain, byte-stable
-across runs so that seeded experiments can be diffed directly.
+across runs so that seeded experiments can be diffed directly. The
+written format, chaincliq-chain-v2, stores G_1 and then, for each later
+graph, only the edges it adds to the one before, so a document holds
+|E(G_r)| edges rather than one list per graph. The reader still accepts
+chaincliq-chain-v1, which stores every graph's whole edge list.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Iterator, Sequence
 from .graphs import Graph, _bits, _check_vertex_count, _slot_index, _slot_pairs
 from .rng import SplitMix64
 
-CHAIN_FORMAT = "chaincliq-chain-v1"
+CHAIN_FORMAT = "chaincliq-chain-v2"
+_CHAIN_FORMAT_V1 = "chaincliq-chain-v1"  # still read, no longer written
 
 _TWO64 = 1 << 64
 
@@ -186,11 +191,13 @@ def relabel_chain(c: GraphChain, perm: Sequence[int]) -> GraphChain:
 
 
 def _chain_doc(c: GraphChain) -> dict:
-    return {
-        "format": CHAIN_FORMAT,
-        "n": c.n,
-        "graphs": [g.sorted_edges() for g in c.graphs],  # pair tuples, no new list per edge
-    }
+    pairs = _slot_pairs(c.n)
+    prev = c.graphs[0].mask
+    steps = []
+    for g in c.graphs[1:]:
+        steps.append([pairs[b] for b in _bits(g.mask & ~prev)])  # pair tuples, no new list per edge
+        prev = g.mask
+    return {"format": CHAIN_FORMAT, "n": c.n, "first": c.graphs[0].sorted_edges(), "steps": steps}
 
 
 def _parse_json(text: str) -> object:
@@ -201,34 +208,50 @@ def _parse_json(text: str) -> object:
         raise ValueError(f"malformed JSON: {exc}") from None
 
 
-def _tagged(doc: object, subject: str, fmt: str) -> dict:
-    """The document itself, once it is a JSON object carrying the format tag fmt."""
+def _tagged(doc: object, subject: str, fmt: str, *older: str) -> dict:
+    """The document itself, once it is a JSON object tagged fmt or one of the older tags."""
     if not isinstance(doc, dict):
         raise ValueError(f"{subject} must be a JSON object")
     tag = doc.get("format")
-    if tag != fmt:
+    if tag != fmt and tag not in older:
         raise ValueError(f"unsupported format tag {tag!r} (expected {fmt!r})")
     return doc
 
 
 def _chain_from_doc(doc: object) -> GraphChain:
-    doc = _tagged(doc, "chain document", CHAIN_FORMAT)
+    """Graph k of the chain is entry k of v1's 'graphs', or 'first' plus v2's first k-1 steps.
+
+    In v1 each entry is a whole graph; in v2 each step's edges join the
+    running mask, so an edge already in 'first' or an earlier step is a
+    duplicate. Nesting and distinctness (a v2 step with no edge) are left
+    to GraphChain.
+    """
+    doc = _tagged(doc, "chain document", CHAIN_FORMAT, _CHAIN_FORMAT_V1)
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("field 'n' must be an integer")
-    entries = doc.get("graphs")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("field 'graphs' must be a nonempty list")
+    cumulative = doc["format"] == CHAIN_FORMAT
+    if cumulative:
+        first, steps = doc.get("first"), doc.get("steps")
+        if not isinstance(first, list) or not isinstance(steps, list):
+            raise ValueError("fields 'first' and 'steps' must be lists")
+        entries = [first, *steps]
+    else:
+        entries = doc.get("graphs")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("field 'graphs' must be a nonempty list")
     try:
         _check_vertex_count(n)  # before _slot_index(n) builds a table of C(n, 2) pairs
     except ValueError as exc:
         raise ValueError(f"graph 1: {exc}") from None
     index = _slot_index(n)  # keys are exactly the edges [u, v] with 1 <= u < v <= n
     graphs = []
+    mask = 0
     for gi, entry in enumerate(entries, 1):
         if not isinstance(entry, list):
             raise ValueError(f"graph {gi}: must be a list of edges")
-        mask = 0
+        if not cumulative:
+            mask = 0
         for e in entry:
             if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
                 raise ValueError(f"graph {gi}: edge {e!r} must be a two-element integer array")

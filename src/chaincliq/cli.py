@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .chains import (
     CHAIN_FORMAT,
+    _CHAIN_FORMAT_V1,
     StepDistribution,
     _chain_from_doc,
     _parse_json,
@@ -228,7 +229,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
             raise line_error from None
     kind = doc.get("format") if isinstance(doc, dict) else None
-    if kind == CHAIN_FORMAT and not rest.strip():
+    if kind in (CHAIN_FORMAT, _CHAIN_FORMAT_V1) and not rest.strip():
         chain = _chain_from_doc(doc)
         checks = _verify_chain_checks(chain)
         all_pass = all(c["pass"] for c in checks)

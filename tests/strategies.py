@@ -1,12 +1,13 @@
-"""Shared test helpers: seeded-chain strategies, one-value document mutations,
-crafted vertex subsets, a naive solver."""
+"""Shared test helpers: seeded-chain strategies, the v1 chain writer, one-value
+document mutations, crafted vertex subsets, a naive solver."""
 
 import json
 from math import comb
 
 from hypothesis import strategies as st
 
-from chaincliq import OracleReport, SINGLE_STEP, StepDistribution, random_chain
+from chaincliq import GraphChain, OracleReport, SINGLE_STEP, StepDistribution, random_chain
+from chaincliq.chains import _CHAIN_FORMAT_V1
 
 MAX_SEED = 2**64 - 1
 NAIVE_CUTOFF = 20
@@ -27,6 +28,28 @@ def chains(draw, min_n=2, max_n=7, max_r=12):
     dist = draw(step_distributions())
     seed = draw(st.integers(min_value=0, max_value=MAX_SEED))
     return random_chain(n, r, dist, seed)
+
+
+@st.composite
+def suffix_chains(draw, **kwargs):
+    """A generated chain with a drawn prefix dropped, so G_1 need not be empty."""
+    chain = draw(chains(**kwargs))
+    start = draw(st.integers(min_value=0, max_value=chain.r - 1))
+    return GraphChain(chain.n, chain.graphs[start:])
+
+
+def v1_chain_doc(chain):
+    """The chaincliq-chain-v1 layout, the reference for the v1 reader: every graph's whole edge list."""
+    return {
+        "format": _CHAIN_FORMAT_V1,
+        "n": chain.n,
+        "graphs": [[list(e) for e in g.sorted_edges()] for g in chain.graphs],
+    }
+
+
+def v1_text(chain):
+    """A chain document as the v1 writer wrote it."""
+    return json.dumps(v1_chain_doc(chain))
 
 
 text_chars = st.characters(blacklist_categories=("Cs",))

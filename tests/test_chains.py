@@ -4,6 +4,7 @@ import json
 import time
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +14,32 @@ from chaincliq import (
     CHAIN_FORMAT,
     GraphChain,
     SINGLE_STEP,
+    SearchConfig,
     StepDistribution,
     enumerate_chains,
+    load_records,
+    local_search_min_ratio,
     make_graph,
     random_chain,
     read_chain,
     relabel_chain,
     reverse_chain,
     write_chain,
+    write_record,
 )
-from chaincliq.chains import _parse_json, _tagged
+from chaincliq.chains import _CHAIN_FORMAT_V1, _parse_json, _tagged
 
-from strategies import MAX_SEED, chains, one_value_replaced, step_distributions
+from strategies import (
+    MAX_SEED,
+    chains,
+    one_value_replaced,
+    step_distributions,
+    suffix_chains,
+    v1_chain_doc,
+    v1_text,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def masks_of(chain):
@@ -217,8 +232,8 @@ class TestChainSerialization:
         )
         text = write_chain(chain)
         assert text == (
-            '{"format": "chaincliq-chain-v1", "n": 3, '
-            '"graphs": [[], [[1, 2]], [[1, 2], [1, 3]]]}'
+            '{"format": "chaincliq-chain-v2", "n": 3, '
+            '"first": [], "steps": [[[1, 2]], [[1, 3]]]}'
         )
 
     @given(chains())
@@ -257,8 +272,8 @@ class TestChainSerialization:
 
 
 def two_pass_read_chain(text):
-    """The reference reader: shape, type and order of every edge, then make_graph per graph."""
-    doc = _tagged(_parse_json(text), "chain document", CHAIN_FORMAT)
+    """The v1 reference reader: shape, type and order of every edge, then make_graph per graph."""
+    doc = _tagged(_parse_json(text), "chain document", _CHAIN_FORMAT_V1)
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError("field 'n' must be an integer")
@@ -288,12 +303,32 @@ def two_pass_read_chain(text):
     return GraphChain(n, tuple(graphs))
 
 
+def cumulative_read_chain(text):
+    """The v2 reference reader: each graph's whole edge list rebuilt from the steps, then make_graph."""
+    doc = _tagged(_parse_json(text), "chain document", CHAIN_FORMAT)
+    first, steps = doc.get("first"), doc.get("steps")
+    if not isinstance(first, list) or not isinstance(steps, list):
+        raise ValueError("fields 'first' and 'steps' must be lists")
+    edges, graphs = [], []
+    for entry in [first, *steps]:
+        if not isinstance(entry, list):
+            raise ValueError("must be a list of edges")
+        for e in entry:
+            if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+                raise ValueError("must be a two-element integer array")
+            if e[0] >= e[1]:
+                raise ValueError("must satisfy u < v")
+        edges = edges + [tuple(e) for e in entry]
+        graphs.append(make_graph(doc.get("n"), edges))  # an edge of an earlier step collides here
+    return GraphChain(doc["n"], tuple(graphs))
+
+
 def chain_text(n=3, last_edge=None):
-    """A valid n=3 chain document, or the same with one more edge in its last graph."""
+    """A valid n=3 v1 chain document, or the same with one more edge in its last graph."""
     graphs = [[], [[1, 2]], [[1, 2], [2, 3]]]
     if last_edge is not None:
         graphs[-1].append(last_edge)
-    return json.dumps({"format": CHAIN_FORMAT, "n": n, "graphs": graphs})
+    return json.dumps({"format": _CHAIN_FORMAT_V1, "n": n, "graphs": graphs})
 
 
 SINGLE_FAULTS = {
@@ -304,7 +339,8 @@ SINGLE_FAULTS = {
     **{f"n={n!r}": chain_text(n=n) for n in (0, -1, 65, 10**9, "3")},
 }
 
-chain_texts = chains(max_n=7, max_r=20).map(write_chain)
+chain_texts = suffix_chains(max_n=7, max_r=20).map(v1_text)
+v2_texts = suffix_chains(max_n=7, max_r=20).map(write_chain)
 
 
 class TestOnePassReader:
@@ -321,6 +357,17 @@ class TestOnePassReader:
         else:
             assert read_chain(text) == expected
 
+    @settings(max_examples=300)
+    @given(st.one_of(v2_texts, v2_texts.flatmap(one_value_replaced)))
+    def test_v2_agrees_with_cumulative_reference(self, text):
+        try:
+            expected = cumulative_read_chain(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                read_chain(text)
+        else:
+            assert read_chain(text) == expected
+
     @pytest.mark.parametrize("text", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS.keys())
     def test_single_fault_message_is_unchanged(self, text):
         with pytest.raises(ValueError) as expected:
@@ -330,6 +377,61 @@ class TestOnePassReader:
             read_chain(text)
         assert time.perf_counter() - start < 1.0
         assert str(got.value) == str(expected.value)
+
+
+def v2_doc(first, steps):
+    return json.dumps({"format": CHAIN_FORMAT, "n": 3, "first": first, "steps": steps})
+
+
+V2_FAULTS = {
+    "empty step": (v2_doc([[1, 2]], [[[1, 3]], []]), r"graphs 2 and 3 are equal"),
+    "edge repeated in a later step": (
+        v2_doc([], [[[1, 3]], [[2, 3]], [[1, 3]]]), r"graph 4: duplicate edge \(1, 3\)"
+    ),
+    "edge of first repeated in a step": (
+        v2_doc([[1, 2]], [[[1, 3], [1, 2]]]), r"graph 2: duplicate edge \(1, 2\)"
+    ),
+    "step edge with u > v": (v2_doc([], [[[3, 1]]]), r"graph 2: edge \[3, 1\] must satisfy u < v"),
+    "step not a list": (v2_doc([], [[[1, 2]], {}]), r"graph 3: must be a list of edges"),
+    "missing first": (json.dumps({"format": CHAIN_FORMAT, "n": 3, "steps": []}), "'first' and 'steps'"),
+    "first not a list": (v2_doc({"1": 2}, []), "'first' and 'steps'"),
+    "missing steps": (json.dumps({"format": CHAIN_FORMAT, "n": 3, "first": []}), "'first' and 'steps'"),
+    "steps not a list": (v2_doc([], "[]"), "'first' and 'steps'"),
+}
+
+
+class TestChainV2:
+    """v2 stores G_1 and each step's added edges; v1 documents are still read."""
+
+    @pytest.mark.parametrize("text,message", V2_FAULTS.values(), ids=V2_FAULTS.keys())
+    def test_rejects_fault(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_chain(text)
+
+    @given(suffix_chains())
+    def test_v1_and_v2_read_to_the_same_chain(self, chain):
+        assert read_chain(v1_text(chain)) == read_chain(write_chain(chain)) == chain
+
+    def test_v1_file_loads_and_rewrites_as_v2(self):
+        v1 = (DATA / "chain-v1.json").read_text()
+        v2 = (DATA / "chain-v2.json").read_text()
+        chain = read_chain(v1)
+        assert chain == random_chain(7, 12, StepDistribution("geometric", 0.5), 5)
+        assert v1_text(chain) + "\n" == v1  # the v1 reference writes the real v1 bytes
+        assert write_chain(chain) + "\n" == v2
+        assert read_chain(v2) == chain
+
+    def test_v1_records_file_loads_and_replays(self):
+        path = DATA / "records-v1.ldjson"
+        records = load_records(path, verify=True)
+        assert [(rec.seed, rec.alpha, rec.move_trace_length) for rec in records] == [(1, 4, 29), (2, 4, 29)]
+        for rec, line in zip(records, path.read_text().splitlines()):
+            replay = SearchConfig(rec.chain.n, rec.chain.r, rec.budget, rec.seed)
+            assert local_search_min_ratio(replay, timestamp=rec.timestamp) == rec
+            doc = json.loads(line)
+            assert doc["chain"] == v1_chain_doc(rec.chain)
+            doc["chain"] = json.loads(write_chain(rec.chain))
+            assert write_record(rec) == json.dumps(doc)
 
 
 def test_chain_length_cap_by_construction():

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +31,8 @@ from chaincliq import (
     write_witness,
 )
 from chaincliq.cli import run_cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def gen_chain_file(tmp_path, n=3, r=4, seed=1):
@@ -212,6 +215,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and "below the proven floor 9" in captured.err
 
+    @pytest.mark.parametrize("name", ["chain-v1.json", "chain-v2.json"])
+    def test_chain_file_of_either_version_verifies(self, name, capsys):
+        assert run_cli(["verify", "--in", str(DATA / name)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["subject"] == "chain" and summary["r"] == 12 and summary["all_pass"] is True
+
     def test_pretty_chain_document_verifies(self, tmp_path, capsys):
         chain, _ = gen_chain_file(tmp_path)
         path = tmp_path / "pretty.json"
@@ -393,7 +402,7 @@ def test_python_dash_m_entry_point(tmp_path):
         text=True,
     )
     assert result.returncode == 0
-    assert json.loads(result.stdout)["format"] == "chaincliq-chain-v1"
+    assert json.loads(result.stdout)["format"] == "chaincliq-chain-v2"
 
 
 def test_cli_search_record_matches_library(tmp_path):

@@ -1,8 +1,8 @@
 """Every reader and every file-reading subcommand fails cleanly on bad input.
 
-Inputs are valid chain, difference-graph, witness and record documents
-with one value, at any depth, replaced by an arbitrary JSON value, or
-arbitrary text. A reader may only return or raise ValueError, and a
+Inputs are valid chain (v2 and v1), difference-graph, witness and record
+documents (with a v2 or a v1 chain) with one value, at any depth,
+replaced by an arbitrary JSON value, or arbitrary text. A reader may only return or raise ValueError, and a
 subcommand may only exit 0, 1 or 2. Pinned inputs that once escaped as a
 traceback or hung must fail within a second.
 """
@@ -34,7 +34,7 @@ from chaincliq import (
 )
 from chaincliq.cli import run_cli
 
-from strategies import chains, one_value_replaced, text_chars
+from strategies import chains, one_value_replaced, text_chars, v1_chain_doc, v1_text
 
 STAMP = "2026-01-01T00:00:00Z"
 DEEP = "[" * 100_000
@@ -44,15 +44,19 @@ COMMANDS = (["derive"], ["witness"], ["oracle"], ["verify"], ["verify", "--verif
 
 
 def valid_documents(chain):
-    """Chain, difference-graph, witness and record documents of one chain."""
+    """Chain, difference-graph, witness and record documents of one chain, and v1 chain layouts."""
     dg = build_difference_graph(chain)
     alpha = max_independent_set(dg).alpha
-    record = SearchRecord(chain, alpha, Fraction(alpha, chain.r), 0, 1, 0, STAMP)
+    record = write_record(SearchRecord(chain, alpha, Fraction(alpha, chain.r), 0, 1, 0, STAMP))
+    record_v1 = json.loads(record)
+    record_v1["chain"] = v1_chain_doc(chain)
     return {
         "chain": write_chain(chain),
+        "chain-v1": v1_text(chain),
         "dgraph": write_difference_graph(dg),
         "witness": write_witness(best_witness(dg)),
-        "record": write_record(record),
+        "record": record,
+        "record-v1": json.dumps(record_v1),
     }
 
 

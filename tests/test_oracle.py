@@ -232,7 +232,7 @@ class TestReportSerialization:
         doc = json.loads(text)
         assert doc["format"] == "chaincliq-theorem-v1"
         assert doc["chains_checked"] == 1 and doc["bound_ok"] is True
-        assert doc["argmin_chain"]["format"] == "chaincliq-chain-v1"
+        assert doc["argmin_chain"]["format"] == "chaincliq-chain-v2"
 
     def test_family_report_document(self):
         text = write_family_report(max_cliquepair_free_family(2))

@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 
 from .chains import (
-    CHAIN_FORMAT,
-    _CHAIN_FORMAT_V1,
     StepDistribution,
     _chain_from_doc,
     _parse_json,
@@ -180,12 +178,12 @@ def _verify_chain_checks(chain) -> list[dict]:
     violation = verify_lemma_abcd(dg)
     checks.append(
         {"name": "lemma-abcd", "pass": violation is None,
-         "detail": "no violating tuple" if violation is None else f"violation {violation.indices}"}
+         "detail": "no violating tuple" if violation is None else f"violation {violation}"}
     )
     violation = verify_lemma_123(dg)
     checks.append(
         {"name": "lemma-123", "pass": violation is None,
-         "detail": "no bad run" if violation is None else f"violation {violation.indices}"}
+         "detail": "no bad run" if violation is None else f"violation {violation}"}
     )
     triangle = find_triangle(dg)
     checks.append(
@@ -228,18 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise line_error from None
         if isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
             raise line_error from None
-    kind = doc.get("format") if isinstance(doc, dict) else None
-    if kind in (CHAIN_FORMAT, _CHAIN_FORMAT_V1) and not rest.strip():
-        chain = _chain_from_doc(doc)
-        checks = _verify_chain_checks(chain)
-        all_pass = all(c["pass"] for c in checks)
-        summary = {"format": VERIFY_FORMAT, "subject": "chain", "r": chain.r,
-                   "checks": checks, "all_pass": all_pass}
-        for c in checks:
-            print(f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}", file=sys.stderr)
-        _emit(args, json.dumps(summary))
-        return 0 if all_pass else 1
-    if kind == RECORD_FORMAT or rest.strip():
+    if rest.strip() or isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
         later = (_decode_line(lineno, raw) for lineno, raw in enumerate(io.StringIO(rest), 2))
         records = _records_from_docs(itertools.chain([doc], later), args.verify)
         summary = {"format": VERIFY_FORMAT, "subject": "records",
@@ -248,7 +235,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"PASS records: {len(records)} valid line(s)", file=sys.stderr)
         _emit(args, json.dumps(summary))
         return 0
-    raise ValueError(f"cannot verify {args.infile}: unrecognized document format {kind!r}")
+    chain = _chain_from_doc(doc)
+    checks = _verify_chain_checks(chain)
+    all_pass = all(c["pass"] for c in checks)
+    summary = {"format": VERIFY_FORMAT, "subject": "chain", "r": chain.r,
+               "checks": checks, "all_pass": all_pass}
+    for c in checks:
+        print(f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}", file=sys.stderr)
+    _emit(args, json.dumps(summary))
+    return 0 if all_pass else 1
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

@@ -17,8 +17,10 @@ trusted:
 A consequence of the same argument is that difference graphs of chains
 are triangle-free; find_triangle exists to watch that invariant.
 
-Both verifiers accept arbitrary adjacency data, so hand-built graphs that
-no chain produces can and should make them return a violation.
+Each check returns None when its fact holds, else the lexicographically
+first index tuple that breaks it. All three accept arbitrary adjacency
+data, so hand-built graphs that no chain produces can and should make
+them return a tuple.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .chains import GraphChain, _parse_json, _tagged
-from .graphs import MAX_VERTICES, _TRIANGLE_SIDE, _slot_vertex_masks
+from .graphs import MAX_VERTICES, _TRIANGLE_SIDE, _bits, _slot_vertex_masks
 
 DGRAPH_FORMAT = "chaincliq-dgraph-v1"
 
@@ -54,28 +56,11 @@ class DifferenceGraph:
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """All edges as 1-based (i, j) pairs with i < j, lexicographically sorted."""
-        out = []
-        for i in range(self.r):
-            upper = self.adj[i] >> (i + 1)
-            j = i + 1
-            while upper:
-                if upper & 1:
-                    out.append((i + 1, j + 1))
-                upper >>= 1
-                j += 1
-        return tuple(out)
+        return tuple([(i, i + j + 1) for i, row in enumerate(self.adj, 1) for j in _bits(row >> i)])
 
     def _check_index(self, i: int) -> None:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.r:
             raise ValueError(f"index {i!r} out of range [1, {self.r}]")
-
-
-@dataclass(frozen=True)
-class LemmaViolation:
-    """A witnessing index tuple for a failed structural check."""
-
-    kind: str  # "abcd" or "consecutive-123"
-    indices: tuple[int, ...]
 
 
 def _adjacency_from_steps(steps: Sequence[int], counts: Sequence[int]) -> list[int]:
@@ -164,11 +149,12 @@ def neighbor_counts(dg: DifferenceGraph, i: int) -> tuple[int, int]:
     return dg.left_counts[i - 1], dg.right_counts[i - 1]
 
 
-def verify_lemma_abcd(dg: DifferenceGraph) -> LemmaViolation | None:
+def verify_lemma_abcd(dg: DifferenceGraph) -> tuple[int, int, int, int] | None:
     """Scan all a < b < c < d for edges (a, c), (b, d) without the edge (b, c).
 
     Returns None when the closure holds everywhere (always, for graphs
-    built from chains), else the lexicographically first violating tuple.
+    built from chains), else the lexicographically first violating
+    (a, b, c, d).
     One scan over bitmasks, with no size limit: the window of b holds
     every non-neighbour c of b between b and b's highest neighbour d, so
     (b, c) is the middle pair of a violation iff c is in that window and
@@ -192,14 +178,14 @@ def verify_lemma_abcd(dg: DifferenceGraph) -> LemmaViolation | None:
     c0 = (hit & -hit).bit_length() - 1
     upper = adj[b0] >> (c0 + 1)
     d0 = c0 + (upper & -upper).bit_length()
-    return LemmaViolation("abcd", (a0 + 1, b0 + 1, c0 + 1, d0 + 1))
+    return (a0 + 1, b0 + 1, c0 + 1, d0 + 1)
 
 
-def verify_lemma_123(dg: DifferenceGraph) -> LemmaViolation | None:
+def verify_lemma_123(dg: DifferenceGraph) -> tuple[int, int, int] | None:
     """Find three consecutive indices that all have >= 3 neighbors per side.
 
     Returns None when no such run exists (always, for graphs built from
-    chains), else the first run as (y, y+1, y+2). Any such run needs
+    chains), else the index tuple (y, y+1, y+2) of the first run. Any run needs
     y >= 4 and y + 2 <= r - 3, so r <= 8 is vacuously clean.
     """
     bad = [
@@ -207,23 +193,21 @@ def verify_lemma_123(dg: DifferenceGraph) -> LemmaViolation | None:
     ]
     for y0 in range(dg.r - 2):
         if bad[y0] and bad[y0 + 1] and bad[y0 + 2]:
-            return LemmaViolation("consecutive-123", (y0 + 1, y0 + 2, y0 + 3))
+            return (y0 + 1, y0 + 2, y0 + 3)
     return None
 
 
 def find_triangle(dg: DifferenceGraph) -> tuple[int, int, int] | None:
-    """First triangle in index order, or None; chain-built graphs have none."""
-    for i in range(dg.r):
-        upper = dg.adj[i] >> (i + 1)
-        j = i + 1
-        while upper:
-            if upper & 1:
-                common = dg.adj[i] & dg.adj[j] & ~((1 << (j + 1)) - 1)
-                if common:
-                    k = (common & -common).bit_length() - 1
-                    return (i + 1, j + 1, k + 1)
-            upper >>= 1
-            j += 1
+    """The lexicographically first triangle (i, j, k) with i < j < k, or None.
+
+    Graphs built from chains have none.
+    """
+    adj = dg.adj
+    for i, row in enumerate(adj):
+        for j in _bits(row >> (i + 1) << (i + 1)):
+            common = row & adj[j] >> (j + 1) << (j + 1)
+            if common:
+                return (i + 1, j + 1, next(_bits(common)) + 1)
     return None
 
 
@@ -232,7 +216,7 @@ def write_difference_graph(dg: DifferenceGraph) -> str:
     doc = {
         "format": DGRAPH_FORMAT,
         "r": dg.r,
-        "edges": [list(e) for e in dg.edge_pairs()],
+        "edges": dg.edge_pairs(),
     }
     return json.dumps(doc)
 

@@ -63,7 +63,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         _check_vertex_count(self.n)
-        if not isinstance(self.mask, int) or not 0 <= self.mask < 1 << comb(self.n, 2):
+        if type(self.mask) is not int or not 0 <= self.mask < 1 << comb(self.n, 2):  # rejects bool
             raise ValueError(f"edge mask {self.mask!r} out of range for n={self.n}")
 
     @property

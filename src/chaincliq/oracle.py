@@ -156,7 +156,7 @@ def verify_theorem_exhaustive(n: int, r: int) -> TheoremReport:
     """Check every chain of length r on {1..n} against lemmas, floors and exact alpha.
 
     Fast enough for n <= 4 at every r: the whole n = 2..4 range is
-    18,785 chains and takes about 1.2 s.
+    18,785 chains and takes about 0.8-0.9 s (CPython 3.11).
     Chains arrive in canonical order, so the reported argmin, the smallest
     chain of minimum alpha, is the first chain to reach that alpha.
     """
@@ -263,9 +263,7 @@ def write_family_report(report: FamilyReport) -> str:
         "format": FAMILY_FORMAT,
         "n": report.n,
         "max_free_size": report.max_free_size,
-        "family": [[list(e) for e in g.sorted_edges()] for g in members],
-        "pair": None
-        if report.pair is None
-        else [[list(e) for e in g.sorted_edges()] for g in report.pair],
+        "family": [g.sorted_edges() for g in members],
+        "pair": None if report.pair is None else [g.sorted_edges() for g in report.pair],
     }
     return json.dumps(doc)

@@ -67,17 +67,14 @@ def alon_guarantee(r: int) -> Fraction:
 
 def check_independent(dg: DifferenceGraph, indices: Iterable[int]) -> bool:
     """True iff no two of the given indices are adjacent in dg."""
+    indices = tuple(indices)
     mask = 0
     for i in indices:
         dg._check_index(i)
         mask |= 1 << (i - 1)
-    m = mask
-    while m:
-        low = m & -m
-        i0 = low.bit_length() - 1
-        if dg.adj[i0] & mask:
+    for i in indices:
+        if dg.adj[i - 1] & mask:
             return False
-        m ^= low
     return True
 
 
@@ -215,4 +212,6 @@ def read_witness(text: str) -> WitnessSet:
         guarantee = None
     if guarantee is None or str(guarantee) != spelled:
         raise ValueError("field 'guarantee' must be an exact rational string")
+    if not 1 <= guarantee <= len(indices):
+        raise ValueError(f"field 'guarantee' {spelled} is outside [1, {len(indices)}]")
     return WitnessSet(indices, method, guarantee)

@@ -229,6 +229,15 @@ class TestVerify:
         summary = json.loads(capsys.readouterr().out)
         assert summary["subject"] == "chain" and summary["all_pass"] is True
 
+    def test_other_single_document_names_its_tag(self, tmp_path, capsys):
+        chain, _ = gen_chain_file(tmp_path)
+        path = tmp_path / "dgraph.json"
+        path.write_text(write_difference_graph(build_difference_graph(chain)) + "\n")
+        assert run_cli(["verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unsupported format tag 'chaincliq-dgraph-v1'" in captured.err
+
     def test_each_records_line_is_decoded_once(self, tmp_path, capsys, monkeypatch):
         records = tmp_path / "records.ldjson"
         for seed in range(3):

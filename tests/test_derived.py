@@ -2,6 +2,7 @@
 
 import json
 import re
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -178,37 +179,32 @@ class TestLemmaAbcd:
 
     def test_crafted_violation_found_first(self):
         dg = difference_graph_from_edges(4, [(1, 3), (2, 4)])
-        violation = verify_lemma_abcd(dg)
-        assert violation is not None
-        assert violation.kind == "abcd" and violation.indices == (1, 2, 3, 4)
+        assert verify_lemma_abcd(dg) == (1, 2, 3, 4)
 
     def test_vacuous_below_four_indices(self):
         assert verify_lemma_abcd(difference_graph_from_edges(3, [(1, 2), (1, 3), (2, 3)])) is None
 
     @given(adjacencies())
     def test_matches_quartic_walk(self, dg):
-        violation = verify_lemma_abcd(dg)
-        assert (None if violation is None else violation.indices) == abcd_by_walk(dg)
+        assert verify_lemma_abcd(dg) == abcd_by_walk(dg)
 
     def test_exhaustive_against_quartic_walk_up_to_six_indices(self):
         for r in range(1, 7):
             pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
             for mask in range(1 << len(pairs)):
                 dg = difference_graph_from_edges(r, [pairs[b] for b in range(len(pairs)) if mask >> b & 1])
-                violation = verify_lemma_abcd(dg)
-                assert (None if violation is None else violation.indices) == abcd_by_walk(dg)
+                assert verify_lemma_abcd(dg) == abcd_by_walk(dg)
 
     def test_no_size_limit(self):
         chain = random_chain(30, 250, SINGLE_STEP, 11)
         assert verify_lemma_abcd(build_difference_graph(chain)) is None
         dg = difference_graph_from_edges(700, [(1, 699), (2, 700)])
-        assert verify_lemma_abcd(dg).indices == (1, 2, 699, 700)
+        assert verify_lemma_abcd(dg) == (1, 2, 699, 700)
 
     def test_reports_lexicographically_first_tuple(self):
         # both (1, 3, 4, 5) and (2, 3, 4, 5) violate; the scan must name the first
         dg = difference_graph_from_edges(5, [(1, 4), (2, 4), (3, 5)])
-        violation = verify_lemma_abcd(dg)
-        assert violation is not None and violation.indices == (1, 3, 4, 5)
+        assert verify_lemma_abcd(dg) == (1, 3, 4, 5)
 
 
 class TestLemma123:
@@ -237,9 +233,7 @@ class TestLemma123:
     def test_crafted_violation_at_nine_indices(self):
         edges = [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]
         edges += [(i, j) for i in (4, 5, 6) for j in (7, 8, 9)]
-        violation = verify_lemma_123(difference_graph_from_edges(9, edges))
-        assert violation is not None
-        assert violation.kind == "consecutive-123" and violation.indices == (4, 5, 6)
+        assert verify_lemma_123(difference_graph_from_edges(9, edges)) == (4, 5, 6)
 
 
 class TestTriangleFree:
@@ -255,6 +249,33 @@ class TestTriangleFree:
     def test_detects_a_planted_triangle(self):
         dg = difference_graph_from_edges(4, [(1, 2), (2, 4), (1, 4)])
         assert find_triangle(dg) == (1, 2, 4)
+
+
+class TestAgainstDirectScans:
+    @given(st.integers(min_value=1, max_value=10), st.data())
+    def test_bit_walks_match_scans_of_the_pair_list(self, r, data):
+        pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+        if data.draw(st.booleans()):  # the complement too: only dense graphs break the 123 cap
+            mask ^= (1 << len(pairs)) - 1
+        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+        dg = difference_graph_from_edges(r, edges)
+        assert dg.edge_pairs() == tuple(edges)
+        edge_set = set(edges)
+        triangles = (
+            t for t in combinations(range(1, r + 1), 3) if set(combinations(t, 2)) <= edge_set
+        )
+        assert find_triangle(dg) == next(triangles, None)
+        bad = [
+            sum((x, y) in edge_set for x in range(1, y)) >= 3
+            and sum((y, z) in edge_set for z in range(y + 1, r + 1)) >= 3
+            for y in range(1, r + 1)
+        ]
+        runs = ((y, y + 1, y + 2) for y in range(1, r - 1) if all(bad[y - 1 : y + 2]))
+        assert verify_lemma_123(dg) == next(runs, None)
+        subset = data.draw(st.sets(st.integers(min_value=1, max_value=r)))
+        independent = not any(p in edge_set for p in combinations(sorted(subset), 2))
+        assert check_independent(dg, subset) == independent
 
 
 class TestMirrorSymmetry:

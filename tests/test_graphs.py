@@ -59,6 +59,11 @@ class TestMakeGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, 1 << comb(3, 2))
 
+    @pytest.mark.parametrize("mask", [True, False, 1.0, None])
+    def test_mask_must_be_an_int(self, mask):
+        with pytest.raises(ValueError, match="edge mask"):
+            Graph(2, mask)
+
 
 class TestEdgeDifference:
     def test_single_edge_difference(self):

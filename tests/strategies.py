@@ -1,12 +1,28 @@
 """Shared test helpers: seeded-chain strategies, the v1 chain writer, one-value
-document mutations, crafted vertex subsets, a naive solver."""
+document mutations, crafted vertex subsets, a naive solver, the per-chain
+theorem sweep."""
 
 import json
 from math import comb
 
 from hypothesis import strategies as st
 
-from chaincliq import GraphChain, OracleReport, SINGLE_STEP, StepDistribution, random_chain
+from chaincliq import (
+    GraphChain,
+    OracleReport,
+    SINGLE_STEP,
+    StepDistribution,
+    TheoremReport,
+    alon_guarantee,
+    alon_witness,
+    build_difference_graph,
+    enumerate_chains,
+    greedy_good_witness,
+    max_independent_set,
+    random_chain,
+    verify_lemma_123,
+    verify_lemma_abcd,
+)
 from chaincliq.chains import _CHAIN_FORMAT_V1
 
 MAX_SEED = 2**64 - 1
@@ -109,3 +125,34 @@ def naive_max_independent_set(dg):
                 best, best_mask = size, s
     optimum = frozenset(i + 1 for i in range(r) if best_mask >> i & 1)
     return OracleReport(best, optimum, total)
+
+
+def reference_theorem_report(n, r):
+    """The exhaustive sweep with every check run on every chain; the reference
+    for verify_theorem_exhaustive, which checks each distinct difference graph once.
+    """
+    checked = 0
+    min_alpha = r + 1
+    argmin_chain = None
+    for chain in enumerate_chains(n, r):
+        dg = build_difference_graph(chain)
+        violation = verify_lemma_abcd(dg) or verify_lemma_123(dg)
+        if violation is not None:
+            raise ValueError(f"structural check failed on an enumerated chain: {violation}")
+        greedy = greedy_good_witness(dg)
+        triples = alon_witness(dg)
+        report = max_independent_set(dg)
+        if report.alpha < max(len(greedy.indices), len(triples.indices)):
+            raise ValueError("a witness exceeded the exact optimum; solver bug")
+        checked += 1
+        if report.alpha < min_alpha:
+            min_alpha, argmin_chain = report.alpha, chain
+    assert argmin_chain is not None  # r >= 1 always yields at least one chain
+    return TheoremReport(
+        n=n,
+        r=r,
+        chains_checked=checked,
+        min_alpha=min_alpha,
+        argmin_chain=argmin_chain,
+        bound_ok=min_alpha >= alon_guarantee(r),
+    )

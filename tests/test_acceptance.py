@@ -106,7 +106,7 @@ def test_criterion_1_lemma_suite(corpus):
 
 def test_criterion_2_theorem_exhaustive():
     start = time.perf_counter()
-    cases = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4)]
+    cases = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4), *((4, r) for r in range(1, 8))]
     results = []
     for n, r in cases:
         report = verify_theorem_exhaustive(n, r)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import chaincliq.oracle as oracle
 from chaincliq import (
     Graph,
+    OracleReport,
     GraphChain,
     SINGLE_STEP,
     alon_guarantee,
@@ -33,7 +35,7 @@ from chaincliq import (
 )
 from chaincliq.cli import run_cli
 
-from strategies import chains, naive_max_independent_set
+from strategies import chains, naive_max_independent_set, reference_theorem_report
 
 
 def path_dg():
@@ -119,7 +121,38 @@ class TestNaiveCrossCheck:
         assert max_independent_set(dg).alpha == naive_max_independent_set(dg).alpha
 
 
+SWEEP_CASES = [(n, r) for n in range(1, 5) for r in range(1, comb(n, 2) + 2)]
+# Distinct difference-graph adjacencies among all chains of each SWEEP_CASES entry.
+DISTINCT_GRAPHS = [1, 1, 1, 1, 2, 3, 1, 1, 2, 7, 28, 44, 28, 7]
+
+
 class TestTheoremExhaustive:
+    @pytest.mark.parametrize("n,r", SWEEP_CASES)
+    def test_matches_per_chain_reference(self, n, r):
+        report = verify_theorem_exhaustive(n, r)
+        reference = reference_theorem_report(n, r)
+        assert report == reference
+        assert write_theorem_report(report) == write_theorem_report(reference)
+
+    @pytest.mark.parametrize("n,r", SWEEP_CASES)
+    def test_solver_runs_once_per_distinct_graph(self, monkeypatch, n, r):
+        calls = []
+        solve = oracle.max_independent_set
+        monkeypatch.setattr(oracle, "max_independent_set", lambda dg: calls.append(dg) or solve(dg))
+        verify_theorem_exhaustive(n, r)
+        assert len(calls) == DISTINCT_GRAPHS[SWEEP_CASES.index((n, r))]
+        assert len({dg.adj for dg in calls}) == len(calls)
+
+    def test_structural_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "verify_lemma_abcd", lambda dg: (1, 2, 3, 4))
+        with pytest.raises(ValueError, match="structural check failed"):
+            verify_theorem_exhaustive(3, 3)
+
+    def test_witness_above_solver_alpha_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "max_independent_set", lambda dg: OracleReport(0, frozenset(), 0))
+        with pytest.raises(ValueError, match="solver bug"):
+            verify_theorem_exhaustive(3, 3)
+
     def test_two_vertex_base_case(self):
         report = verify_theorem_exhaustive(2, 2)
         assert report.chains_checked == 1

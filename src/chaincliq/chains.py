@@ -214,7 +214,8 @@ def _tagged(doc: object, subject: str, fmt: str, *older: str) -> dict:
         raise ValueError(f"{subject} must be a JSON object")
     tag = doc.get("format")
     if tag != fmt and tag not in older:
-        raise ValueError(f"unsupported format tag {tag!r} (expected {fmt!r})")
+        expected = " or ".join(repr(t) for t in (fmt, *older))
+        raise ValueError(f"unsupported format tag {tag!r} (expected {expected})")
     return doc
 
 

@@ -4,6 +4,9 @@ Output is machine-first JSON in the same canonical encodings the library
 produces (--pretty re-indents it); diagnostics go to stderr. Exit codes:
 0 success, 1 domain errors such as validation failures or infeasible
 parameters, 2 usage errors.
+
+The argument parser is built on the first run_cli call and reused for every
+later call in the same process, so in-process callers pay for it once.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import io
 import itertools
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .chains import (
+    SINGLE_STEP,
     StepDistribution,
     _chain_from_doc,
     _parse_json,
@@ -54,7 +59,7 @@ _WITNESS_METHODS = {
 
 def _parse_step_dist(text: str) -> StepDistribution:
     if text == "single":
-        return StepDistribution("single")
+        return SINGLE_STEP
     if text.startswith("geometric:"):
         try:
             p = float(text.split(":", 1)[1])
@@ -64,6 +69,7 @@ def _parse_step_dist(text: str) -> StepDistribution:
     raise argparse.ArgumentTypeError("expected 'single' or 'geometric:P' with P in (0, 1]")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaincliq",
@@ -84,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--step-dist",
         type=_parse_step_dist,
-        default=StepDistribution("single"),
+        default=SINGLE_STEP,
         metavar="DIST",
         help="single or geometric:P (default single)",
     )
@@ -288,6 +294,11 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str]) -> int:
+    """Run one chaincliq command and return its exit code.
+
+    The parser is built on the first call and reused within the process;
+    each call parses into a fresh namespace, so calls do not share state.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

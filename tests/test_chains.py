@@ -250,6 +250,13 @@ class TestChainSerialization:
         with pytest.raises(ValueError, match="format tag"):
             read_chain(json.dumps({"format": "other", "n": 2, "graphs": [[]]}))
 
+    def test_wrong_tag_message_names_every_accepted_tag(self):
+        doc = {"format": "chaincliq-dgraph-v1", "n": 2, "first": [], "steps": []}
+        with pytest.raises(ValueError) as info:
+            read_chain(json.dumps(doc))
+        assert str(info.value) == ("unsupported format tag 'chaincliq-dgraph-v1' "
+                                   "(expected 'chaincliq-chain-v2' or 'chaincliq-chain-v1')")
+
     def test_rejects_non_nested_document(self):
         doc = {"format": "chaincliq-chain-v1", "n": 3, "graphs": [[[1, 2]], [[1, 3]]]}
         with pytest.raises(ValueError, match="not nested"):

@@ -1,6 +1,8 @@
 """The command-line adapter: byte parity with the library, exit codes, formats."""
 
 import json
+import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -72,6 +74,16 @@ class TestGen:
 
     def test_bad_step_dist_is_a_usage_error(self):
         assert run_cli(["gen", "--n", "3", "--r", "2", "--step-dist", "zipf"]) == 2
+
+    def test_default_step_dist_is_the_shared_single_step(self, tmp_path):
+        assert cli._build_parser().parse_args(["gen", "--n", "3", "--r", "2"]).step_dist is SINGLE_STEP
+        texts = []
+        for i, extra in enumerate([[], [], ["--step-dist", "single"]]):
+            target = tmp_path / f"c{i}.json"
+            assert run_cli(["gen", "--n", "7", "--r", "20", "--seed", "4",
+                            "--out", str(target), *extra]) == 0
+            texts.append(target.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestUsageErrors:
@@ -402,6 +414,103 @@ class TestPretty:
         assert json.loads(pretty) == json.loads(
             write_difference_graph(build_difference_graph(chain))
         )
+
+
+PARSE_CORPUS = [
+    ["gen", "--n", "7", "--r", "20"],
+    ["gen", "--n", "7", "--r", "20", "--seed", "3", "--step-dist", "geometric:0.5",
+     "--out", "c.json", "--pretty"],
+    ["derive", "--in", "c.json"],
+    ["derive", "--in", "c.json", "--out", "d.json", "--pretty"],
+    ["witness", "--in", "c.json"],
+    ["witness", "--in", "c.json", "--method", "alon", "--pretty"],
+    ["oracle", "--in", "c.json"],
+    ["oracle", "--in", "c.json", "--out", "o.json", "--pretty"],
+    ["verify", "--in", "c.json"],
+    ["verify", "--in", "records.ldjson", "--verify", "--pretty"],
+    ["enumerate", "--n", "3", "--r", "2"],
+    ["enumerate", "--n", "3", "--r", "2", "--out", "e.ldjson"],
+    ["conjecture", "--n", "3"],
+    ["conjecture", "--n", "3", "--out", "f.json", "--pretty"],
+    ["search", "--n", "5", "--r", "8"],
+    ["search", "--n", "5", "--r", "8", "--budget", "40", "--seed", "2", "--pretty"],
+    ["search", "--n", "5", "--r", "8", "--out", "records.ldjson"],
+    ["search", "--n", "5", "--r", "8", "--out", "records.ldjson", "--pretty"],
+    ["gen", "--n", "7", "--r", "20", "--step-dist", "zipf"],
+    [],
+    ["transmogrify"],
+    ["--help"],
+    ["witness", "--help"],
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The namespace argv parses to, or the exit code and output of a refused parse."""
+    capsys.readouterr()
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def run_sequence(workdir, monkeypatch, capsys):
+    """Exit code, output and --out bytes of each call of a fixed run_cli sequence."""
+    monkeypatch.chdir(workdir)
+    valid = [
+        argv
+        for extra in ([], ["--pretty"])
+        for argv in (
+            ["gen", "--n", "7", "--r", "20", "--seed", "5", "--out", "chain.json", *extra],
+            ["derive", "--in", "chain.json", *extra],
+            ["witness", "--in", "chain.json", "--method", "alon", *extra],
+            ["oracle", "--in", "chain.json", "--out", "oracle.json", *extra],
+            ["verify", "--in", "chain.json", *extra],
+        )
+    ]
+    usage_error = ["witness", "--in", "chain.json", "--method", "nope"]
+    results = []
+    for argv in [*valid, usage_error, *valid]:
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        results.append((argv, code, captured.out, captured.err, files))
+    return results
+
+
+class TestParserCache:
+    def test_cached_parser_parses_like_a_fresh_one(self, capsys):
+        expected = [parse_outcome(cli._build_parser.__wrapped__(), argv, capsys)
+                    for argv in PARSE_CORPUS]
+        order = list(range(len(PARSE_CORPUS))) * 15
+        random.Random(12).shuffle(order)
+        for k in order:
+            assert parse_outcome(cli._build_parser(), PARSE_CORPUS[k], capsys) == expected[k]
+
+    def test_cached_parser_runs_a_sequence_like_fresh_ones(self, tmp_path, monkeypatch, capsys):
+        for side in ("fresh", "cached"):
+            (tmp_path / side).mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            fresh = run_sequence(tmp_path / "fresh", patch, capsys)
+        cached = run_sequence(tmp_path / "cached", monkeypatch, capsys)
+        assert cached == fresh
+        half = len(cached) // 2  # the calls after the usage error repeat the ones before it
+        assert [r[:4] for r in cached[:half]] == [r[:4] for r in cached[half + 1:]]
+
+    def test_import_builds_no_parser(self):
+        code = ("import chaincliq, chaincliq.cli\n"
+                "assert chaincliq.cli._build_parser.cache_info().currsize == 0")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+
+    def test_parser_is_built_once_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        assert run_cli(["enumerate", "--n", "2", "--r", "1"]) == 0
+        assert run_cli(["conjecture", "--n", "2"]) == 0
+        assert run_cli(["enumerate", "--n", "2", "--r", "1", "--pretty"]) == 2
+        assert cli._build_parser.cache_info().misses == 1
 
 
 def test_python_dash_m_entry_point(tmp_path):

@@ -12,8 +12,6 @@ later call in the same process, so in-process callers pay for it once.
 from __future__ import annotations
 
 import argparse
-import io
-import itertools
 import json
 import sys
 from functools import lru_cache
@@ -22,26 +20,22 @@ from pathlib import Path
 from .chains import (
     SINGLE_STEP,
     StepDistribution,
-    _chain_from_doc,
-    _parse_json,
     enumerate_chains,
     random_chain,
     read_chain,
     write_chain,
 )
-from .derived import (
-    build_difference_graph,
-    find_triangle,
-    verify_lemma_123,
-    verify_lemma_abcd,
-    write_difference_graph,
+from .derived import build_difference_graph, write_difference_graph
+from .oracle import (
+    certify_difference_graph,
+    max_cliquepair_free_family,
+    max_independent_set,
+    write_family_report,
+    write_oracle_report,
 )
-from .oracle import max_cliquepair_free_family, max_independent_set, write_family_report, write_oracle_report
 from .search import (
-    RECORD_FORMAT,
     SearchConfig,
-    _decode_line,
-    _records_from_docs,
+    _load_records_or_chain,
     append_record,
     local_search_min_ratio,
     write_record,
@@ -118,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="for records files, also recompute each stored alpha",
+        help="records files only: also recompute each stored alpha "
+        "(a chain document's alpha is always recomputed)",
     )
     common(p)
 
@@ -178,78 +173,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_chain_checks(chain) -> list[dict]:
-    dg = build_difference_graph(chain)
-    checks = []
-    violation = verify_lemma_abcd(dg)
-    checks.append(
-        {"name": "lemma-abcd", "pass": violation is None,
-         "detail": "no violating tuple" if violation is None else f"violation {violation}"}
-    )
-    violation = verify_lemma_123(dg)
-    checks.append(
-        {"name": "lemma-123", "pass": violation is None,
-         "detail": "no bad run" if violation is None else f"violation {violation}"}
-    )
-    triangle = find_triangle(dg)
-    checks.append(
-        {"name": "triangle-free", "pass": triangle is None,
-         "detail": "no triangle" if triangle is None else f"triangle {triangle}"}
-    )
-    sizes = {}
-    for name, fn in (("witness-greedy-good", greedy_good_witness), ("witness-alon-triples", alon_witness)):
-        try:
-            ws = fn(dg)
-            sizes[name] = len(ws.indices)
-            checks.append(
-                {"name": name, "pass": True,
-                 "detail": f"size {len(ws.indices)} >= floor {ws.guarantee}"}
-            )
-        except ValueError as exc:
-            checks.append({"name": name, "pass": False, "detail": str(exc)})
-    report = max_independent_set(dg)
-    ok = all(report.alpha >= s for s in sizes.values()) and len(sizes) == 2
-    checks.append(
-        {"name": "oracle-alpha", "pass": ok,
-         "detail": f"alpha {report.alpha} vs witness sizes {sorted(sizes.values())}"}
-    )
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    text = Path(args.infile).read_text(encoding="utf-8")
-    if not text:
-        raise ValueError(f"cannot verify {args.infile}: the records file holds no records")
-    # Records take one line each, so line 1 of a records file decodes alone and
-    # is not decoded again; only a chain document may span lines (--pretty).
-    head, _, rest = text.partition("\n")
-    try:
-        doc = _decode_line(1, head)
-    except ValueError as line_error:
-        try:
-            doc, rest = _parse_json(text), ""
-        except ValueError:
-            raise line_error from None
-        if isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
-            raise line_error from None
-    if rest.strip() or isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
-        later = (_decode_line(lineno, raw) for lineno, raw in enumerate(io.StringIO(rest), 2))
-        records = _records_from_docs(itertools.chain([doc], later), args.verify)
+    subject = _load_records_or_chain(args.infile, args.verify)
+    if isinstance(subject, list):
         summary = {"format": VERIFY_FORMAT, "subject": "records",
-                   "records": len(records), "alpha_recomputed": bool(args.verify),
+                   "records": len(subject), "alpha_recomputed": bool(args.verify),
                    "all_pass": True}
-        print(f"PASS records: {len(records)} valid line(s)", file=sys.stderr)
-        _emit(args, json.dumps(summary))
-        return 0
-    chain = _chain_from_doc(doc)
-    checks = _verify_chain_checks(chain)
-    all_pass = all(c["pass"] for c in checks)
-    summary = {"format": VERIFY_FORMAT, "subject": "chain", "r": chain.r,
-               "checks": checks, "all_pass": all_pass}
-    for c in checks:
-        print(f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}", file=sys.stderr)
+        lines = [f"PASS records: {len(subject)} valid line(s)"]
+    else:
+        _, checks = certify_difference_graph(build_difference_graph(subject))
+        summary = {"format": VERIFY_FORMAT, "subject": "chain", "r": subject.r,
+                   "checks": checks, "all_pass": all(c["pass"] for c in checks)}
+        lines = [f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}" for c in checks]
+    print("\n".join(lines), file=sys.stderr)
     _emit(args, json.dumps(summary))
-    return 0 if all_pass else 1
+    return 0 if summary["all_pass"] else 1
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

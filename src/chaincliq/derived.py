@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -38,17 +39,26 @@ DGRAPH_FORMAT = "chaincliq-dgraph-v1"
 
 @dataclass(frozen=True)
 class DifferenceGraph:
-    """Symmetric, irreflexive adjacency over indices 1..r with cached side counts.
+    """Symmetric, irreflexive adjacency over indices 1..r, and nothing else.
 
-    adj[i] is a bitmask over 0-based indices; left/right counts tally the
-    neighbors below and above each index. Build via build_difference_graph
-    or difference_graph_from_edges.
+    adj[i] is a bitmask over 0-based indices; r = len(adj), and left/right
+    counts, the neighbors below and above each index, are computed from adj
+    on first use. Build via build_difference_graph or difference_graph_from_edges.
     """
 
-    r: int
     adj: tuple[int, ...]
-    left_counts: tuple[int, ...]
-    right_counts: tuple[int, ...]
+
+    @property
+    def r(self) -> int:
+        return len(self.adj)
+
+    @cached_property
+    def left_counts(self) -> tuple[int, ...]:
+        return tuple((row & ((1 << i) - 1)).bit_count() for i, row in enumerate(self.adj))
+
+    @cached_property
+    def right_counts(self) -> tuple[int, ...]:
+        return tuple((row >> (i + 1)).bit_count() for i, row in enumerate(self.adj))
 
     def degree(self, i: int) -> int:
         self._check_index(i)
@@ -59,7 +69,7 @@ class DifferenceGraph:
         return tuple([(i, i + j + 1) for i, row in enumerate(self.adj, 1) for j in _bits(row >> i)])
 
     def _check_index(self, i: int) -> None:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.r:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(self.adj):
             raise ValueError(f"index {i!r} out of range [1, {self.r}]")
 
 
@@ -105,19 +115,13 @@ def _difference_adjacency(n: int, masks: Sequence[int]) -> list[int]:
     return _adjacency_from_steps(steps, list(map(int.bit_count, masks)))
 
 
-def _finish(r: int, adj: Sequence[int]) -> DifferenceGraph:
-    left = tuple((adj[i] & ((1 << i) - 1)).bit_count() for i in range(r))
-    right = tuple(adj[i].bit_count() - left[i] for i in range(r))
-    return DifferenceGraph(r, tuple(adj), left, right)
-
-
 def build_difference_graph(c: GraphChain) -> DifferenceGraph:
     """The difference graph of a chain: i < j adjacent iff G_j minus G_i is a clique.
 
     Built from the vertex support and edge count of each step in O(r^2)
     word operations, without walking any edge mask per pair.
     """
-    return _finish(c.r, _difference_adjacency(c.n, [g.mask for g in c.graphs]))
+    return DifferenceGraph(tuple(_difference_adjacency(c.n, [g.mask for g in c.graphs])))
 
 
 def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> DifferenceGraph:
@@ -140,7 +144,7 @@ def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> Dif
             raise ValueError(f"duplicate index pair ({i}, {j})")
         adj[i - 1] |= 1 << (j - 1)
         adj[j - 1] |= 1 << (i - 1)
-    return _finish(r, adj)
+    return DifferenceGraph(tuple(adj))
 
 
 def neighbor_counts(dg: DifferenceGraph, i: int) -> tuple[int, int]:
@@ -188,9 +192,7 @@ def verify_lemma_123(dg: DifferenceGraph) -> tuple[int, int, int] | None:
     chains), else the index tuple (y, y+1, y+2) of the first run. Any run needs
     y >= 4 and y + 2 <= r - 3, so r <= 8 is vacuously clean.
     """
-    bad = [
-        dg.left_counts[i] >= 3 and dg.right_counts[i] >= 3 for i in range(dg.r)
-    ]
+    bad = [left >= 3 and right >= 3 for left, right in zip(dg.left_counts, dg.right_counts)]
     for y0 in range(dg.r - 2):
         if bad[y0] and bad[y0 + 1] and bad[y0 + 2]:
             return (y0 + 1, y0 + 2, y0 + 3)

@@ -6,9 +6,9 @@ Everything in this module is exact; only the family solver has a size cap:
     and run at every chain length; used to compare witnesses against true
     optima and as the engine behind the extremal search objective.
   * verify_theorem_exhaustive. Runs every chain of a given (n, r) and
-    records the smallest exact independence number seen. Both structural
-    lemmas, both witness floors and the exact alpha are checked once per
-    distinct difference graph, since they depend on nothing else.
+    records the smallest exact independence number seen. Once per distinct
+    difference graph it runs certify_difference_graph, the check list that
+    `chaincliq verify` reports, triangle check included.
   * clique-pair families. A pair G strictly inside H with H minus G a
     clique is the forbidden configuration; max_cliquepair_free_family
     finds the largest family of graphs on {1..n} avoiding it by solving
@@ -27,7 +27,7 @@ from .chains import GraphChain, _chain_doc, _check_length, enumerate_chains
 from .derived import (
     DifferenceGraph,
     _difference_adjacency,
-    _finish,
+    find_triangle,
     verify_lemma_123,
     verify_lemma_abcd,
 )
@@ -159,17 +159,48 @@ def max_independent_set(dg: DifferenceGraph) -> OracleReport:
     return OracleReport(alpha, frozenset(i + 1 for i in _bits(mask)), nodes)
 
 
+def certify_difference_graph(dg: DifferenceGraph) -> tuple[int, list[dict]]:
+    """The exact alpha of a difference graph and its six certificate checks, in order.
+
+    Each check is a dict with "name", "pass" and "detail". A witness that
+    raises ValueError fails its own check and the alpha check; graphs
+    built from chains pass all six.
+    """
+    results = []
+    for name, find, clean, label in (
+        ("lemma-abcd", verify_lemma_abcd, "no violating tuple", "violation"),
+        ("lemma-123", verify_lemma_123, "no bad run", "violation"),
+        ("triangle-free", find_triangle, "no triangle", "triangle"),
+    ):
+        found = find(dg)
+        results.append((name, found is None, clean if found is None else f"{label} {found}"))
+    sizes = []
+    for name, witness in (("witness-greedy-good", greedy_good_witness),
+                          ("witness-alon-triples", alon_witness)):
+        try:
+            ws = witness(dg)
+        except ValueError as exc:
+            results.append((name, False, str(exc)))
+        else:
+            sizes.append(len(ws.indices))
+            results.append((name, True, f"size {len(ws.indices)} >= floor {ws.guarantee}"))
+    alpha = max_independent_set(dg).alpha
+    results.append(("oracle-alpha", len(sizes) == 2 and alpha >= max(sizes),
+                    f"alpha {alpha} vs witness sizes {sorted(sizes)}"))
+    return alpha, [{"name": name, "pass": ok, "detail": detail} for name, ok, detail in results]
+
+
 def verify_theorem_exhaustive(n: int, r: int) -> TheoremReport:
     """Check every chain of length r on {1..n} against lemmas, floors and exact alpha.
 
-    Every check depends only on the difference graph, so the lemmas, both
-    witnesses and the branch and bound run once per distinct adjacency;
-    a chain whose graph was seen before reuses its alpha. The whole
+    Every check depends only on the difference graph, so
+    certify_difference_graph runs once per distinct adjacency, and a
+    chain whose graph was seen before reuses its alpha. The whole
     n = 2..4 range is 18,785 chains but only 126 distinct graphs, and
     takes about 0.2 s (CPython 3.11). Chains arrive in canonical order,
     so the reported argmin, the smallest chain of minimum alpha, is the
-    first chain to reach that alpha, and a structural failure is raised
-    at the first chain with the failing graph.
+    first chain to reach that alpha, and a failed check is raised, by
+    name and detail, at the first chain with the failing graph.
     """
     _check_vertex_count(n)
     _check_length(n, r)
@@ -181,15 +212,11 @@ def verify_theorem_exhaustive(n: int, r: int) -> TheoremReport:
         adj = tuple(_difference_adjacency(n, [g.mask for g in chain.graphs]))
         alpha = alphas.get(adj)
         if alpha is None:
-            dg = _finish(r, adj)
-            violation = verify_lemma_abcd(dg) or verify_lemma_123(dg)
-            if violation is not None:
-                raise ValueError(f"structural check failed on an enumerated chain: {violation}")
-            greedy = greedy_good_witness(dg)
-            triples = alon_witness(dg)
-            alpha = max_independent_set(dg).alpha
-            if alpha < max(len(greedy.indices), len(triples.indices)):
-                raise ValueError("a witness exceeded the exact optimum; solver bug")
+            alpha, checks = certify_difference_graph(DifferenceGraph(adj))
+            for check in checks:
+                if not check["pass"]:
+                    raise ValueError(f"check {check['name']} failed on an enumerated chain: "
+                                     f"{check['detail']}")
             alphas[adj] = alpha
         checked += 1
         if alpha < min_alpha:

@@ -19,6 +19,8 @@ still consume budget. Runs are pure functions of their configuration
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -280,3 +282,30 @@ def load_records(path: str | Path, verify: bool = False) -> list[SearchRecord]:
     with open(path, "r", encoding="utf-8") as handle:
         docs = (_decode_line(lineno, raw) for lineno, raw in enumerate(handle, 1))
         return _records_from_docs(docs, verify)
+
+
+def _load_records_or_chain(path: str, verify: bool) -> list[SearchRecord] | GraphChain:
+    """The records of a records file, or the chain of a chain document.
+
+    Records take one line each, so line 1 of a records file decodes alone and is
+    not decoded again. Only a chain document may span lines (--pretty output);
+    a record spread over several lines is refused, and so is an empty file.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if not text:
+        raise ValueError(f"cannot verify {path}: the records file holds no records")
+    head, _, rest = text.partition("\n")
+    try:
+        doc = _decode_line(1, head)
+    except ValueError as line_error:
+        try:
+            doc = _parse_json(text)
+        except ValueError:
+            raise line_error from None
+        if isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
+            raise line_error from None
+        return _chain_from_doc(doc)
+    if rest.strip() or isinstance(doc, dict) and doc.get("format") == RECORD_FORMAT:
+        later = (_decode_line(lineno, raw) for lineno, raw in enumerate(io.StringIO(rest), 2))
+        return _records_from_docs(itertools.chain([doc], later), verify)
+    return _chain_from_doc(doc)

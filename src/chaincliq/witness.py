@@ -100,8 +100,8 @@ def greedy_good_witness(dg: DifferenceGraph) -> WitnessSet:
     the left class.
     """
     r = dg.r
-    right_ok = [i for i in range(r) if dg.right_counts[i] <= 2]
-    left_ok = [i for i in range(r) if dg.left_counts[i] <= 2]
+    right_ok = [i for i, count in enumerate(dg.right_counts) if count <= 2]
+    left_ok = [i for i, count in enumerate(dg.left_counts) if count <= 2]
     order = right_ok if len(right_ok) >= len(left_ok) else list(reversed(left_ok))
     chosen_mask = 0
     chosen: list[int] = []

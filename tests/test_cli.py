@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import chaincliq.cli as cli
+import chaincliq.oracle as oracle
 from chaincliq import (
     SINGLE_STEP,
     SearchConfig,
@@ -249,6 +250,19 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unsupported format tag 'chaincliq-dgraph-v1'" in captured.err
+
+    def test_failed_check_exits_one(self, tmp_path, capsys, monkeypatch):
+        _, path = gen_chain_file(tmp_path)
+        monkeypatch.setattr(oracle, "verify_lemma_abcd", lambda dg: (1, 2, 3, 4))
+        assert run_cli(["verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL lemma-abcd: violation (1, 2, 3, 4)\n" in captured.err
+        assert captured.err.count("PASS") == 5
+        summary = json.loads(captured.out)
+        assert summary["all_pass"] is False
+        assert summary["checks"][0] == {
+            "name": "lemma-abcd", "pass": False, "detail": "violation (1, 2, 3, 4)"
+        }
 
     def test_each_records_line_is_decoded_once(self, tmp_path, capsys, monkeypatch):
         records = tmp_path / "records.ldjson"

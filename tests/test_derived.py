@@ -1,5 +1,6 @@
 """Difference-graph construction and the two structural verifiers."""
 
+import dataclasses
 import json
 import re
 from itertools import combinations
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincliq import (
+    DifferenceGraph,
     GraphChain,
     SINGLE_STEP,
     StepDistribution,
@@ -276,6 +278,35 @@ class TestAgainstDirectScans:
         subset = data.draw(st.sets(st.integers(min_value=1, max_value=r)))
         independent = not any(p in edge_set for p in combinations(sorted(subset), 2))
         assert check_independent(dg, subset) == independent
+
+
+class TestAdjacencyIsTheWholeGraph:
+    def test_adjacency_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(DifferenceGraph)] == ["adj"]
+
+    @given(adjacencies())
+    def test_side_counts_match_per_index_scans(self, dg):
+        r, adj = dg.r, dg.adj
+        assert r == len(adj)
+        assert dg.left_counts == tuple(
+            sum(adj[i] >> j & 1 for j in range(i)) for i in range(r)
+        )
+        assert dg.right_counts == tuple(
+            sum(adj[i] >> j & 1 for j in range(i + 1, r)) for i in range(r)
+        )
+
+    @given(chains())
+    def test_built_and_assembled_graphs_are_equal(self, chain):
+        dg = build_difference_graph(chain)
+        assembled = difference_graph_from_edges(dg.r, dg.edge_pairs())
+        assert assembled == dg and hash(assembled) == hash(dg)
+
+    def test_counts_follow_the_adjacency_of_a_bare_graph(self):
+        complete = difference_graph_from_edges(12, combinations(range(1, 13), 2))
+        dg = DifferenceGraph(complete.adj)
+        assert dg == complete and hash(dg) == hash(complete)
+        assert neighbor_counts(dg, 5) == (4, 7)
+        assert verify_lemma_123(dg) == (4, 5, 6)
 
 
 class TestMirrorSymmetry:

@@ -16,6 +16,7 @@ from chaincliq import (
     SINGLE_STEP,
     alon_guarantee,
     build_difference_graph,
+    certify_difference_graph,
     check_independent,
     difference_graph_from_edges,
     edge_difference,
@@ -145,12 +146,12 @@ class TestTheoremExhaustive:
 
     def test_structural_failure_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "verify_lemma_abcd", lambda dg: (1, 2, 3, 4))
-        with pytest.raises(ValueError, match="structural check failed"):
+        with pytest.raises(ValueError, match=r"check lemma-abcd failed .*: violation \(1, 2, 3, 4\)"):
             verify_theorem_exhaustive(3, 3)
 
     def test_witness_above_solver_alpha_raises(self, monkeypatch):
         monkeypatch.setattr(oracle, "max_independent_set", lambda dg: OracleReport(0, frozenset(), 0))
-        with pytest.raises(ValueError, match="solver bug"):
+        with pytest.raises(ValueError, match=r"check oracle-alpha failed .*: alpha 0 vs"):
             verify_theorem_exhaustive(3, 3)
 
     def test_two_vertex_base_case(self):
@@ -195,6 +196,47 @@ class TestTheoremExhaustive:
             if max_independent_set(build_difference_graph(c)).alpha == report.min_alpha
         ]
         assert tuple(g.mask for g in report.argmin_chain.graphs) == min(minimal)
+
+
+CHECK_NAMES = [
+    "lemma-abcd", "lemma-123", "triangle-free",
+    "witness-greedy-good", "witness-alon-triples", "oracle-alpha",
+]
+
+
+def complete_dg(r):
+    return difference_graph_from_edges(r, combinations(range(1, r + 1), 2))
+
+
+class TestCertifyDifferenceGraph:
+    @given(chains())
+    def test_chain_built_graphs_pass_every_check(self, chain):
+        dg = build_difference_graph(chain)
+        alpha, checks = certify_difference_graph(dg)
+        assert alpha == max_independent_set(dg).alpha
+        assert [c["name"] for c in checks] == CHECK_NAMES
+        assert all(c["pass"] for c in checks)
+
+    def test_complete_graph_fails_four_checks(self):
+        alpha, checks = certify_difference_graph(complete_dg(12))
+        assert alpha == 1
+        assert [c["name"] for c in checks] == CHECK_NAMES
+        assert [(c["pass"], c["detail"]) for c in checks] == [
+            (True, "no violating tuple"),
+            (False, "violation (4, 5, 6)"),
+            (False, "triangle (1, 2, 3)"),
+            (True, "size 1 >= floor 1"),
+            (False, "triple 1: all three edge conditions hold, so this graph "
+                    "is not the difference graph of any chain"),
+            (False, "alpha 1 vs witness sizes [1]"),
+        ]
+
+    def test_crossing_pairs_fail_the_abcd_closure(self):
+        _, checks = certify_difference_graph(difference_graph_from_edges(4, [(1, 3), (2, 4)]))
+        assert checks[0] == {
+            "name": "lemma-abcd", "pass": False, "detail": "violation (1, 2, 3, 4)"
+        }
+        assert all(c["pass"] for c in checks[1:])
 
 
 class TestFamilyHasCliquePair:

@@ -1,11 +1,13 @@
 """Simulated-annealing search for chains with a small independence ratio.
 
 The objective of a chain is alpha/r where alpha is the exact independence
-number of its difference graph, recomputed from scratch for every
-candidate; witness sizes are only lower bounds and would skew the
-landscape. No move changes the last graph, so the search state is the
-step (0 to r-1) at which each of its edges enters; step s's graph holds
-the edges entering at or before s. Two moves change entry steps:
+number of its difference graph; witness sizes are only lower bounds and
+would skew the landscape. Each candidate's difference graph is built in
+full, and the exact solver runs only when that graph differs from the
+current state's, since alpha depends on the graph alone. No move changes
+the last graph, so the search state is the step (0 to r-1) at which each
+of its edges enters; step s's graph holds the edges entering at or
+before s. Two moves change entry steps:
 
   * resplit: move one edge's entry step to an adjacent step,
   * swap: exchange the entry steps of two edges.
@@ -46,6 +48,8 @@ from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
 
 RECORD_FORMAT = "chaincliq-record-v1"
+
+_NO_RECORDS = "the records file holds no records"
 
 _INITIAL_TEMPERATURE = 0.25
 _DECAY = 0.9995
@@ -97,6 +101,22 @@ def _chain_masks(edges: list[int], first: list[int], r: int) -> list[int]:
     return masks
 
 
+def _entry_steps(masks: list[int]) -> tuple[list[int], list[int]]:
+    """The edges of the last graph in slot order, and the step at which each enters.
+
+    An edge enters at the first graph that holds it. Each step's added edges
+    are walked once, so this costs O(r + m) for m edges.
+    """
+    entry = {}
+    below = 0
+    for step, mask in enumerate(masks):
+        for e in _bits(mask & ~below):
+            entry[e] = step
+        below = mask
+    edges = sorted(entry)
+    return edges, [entry[e] for e in edges]
+
+
 def _chain_steps(vmasks: list[int], first: list[int], r: int) -> tuple[list[int], list[int]]:
     """Per step s, the vertex support of the edges entering at s and the edge count of G_s.
 
@@ -145,14 +165,14 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     """
     rng = SplitMix64(cfg.seed)
     masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
-    edges = list(_bits(masks[-1]))
-    first = [sum(not mask >> e & 1 for mask in masks) for e in edges]  # graphs missing e
+    edges, first = _entry_steps(masks)
     vmasks = [_slot_vertex_masks(cfg.n)[e] for e in edges]
 
-    def alpha_of(candidate: list[int]) -> int:
-        return _mis_bitset(_adjacency_from_steps(*_chain_steps(vmasks, candidate, cfg.r)))[0]
+    def adjacency_of(candidate: list[int]) -> list[int]:
+        return _adjacency_from_steps(*_chain_steps(vmasks, candidate, cfg.r))
 
-    current_alpha = alpha_of(first)
+    current_adj = adjacency_of(first)
+    current_alpha = _mis_bitset(current_adj)[0]
     best_alpha = current_alpha
     best_first = first
     accepted = 0
@@ -163,7 +183,8 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
             candidate = _propose_swap(first, rng)
         if candidate is None:
             continue
-        alpha = alpha_of(candidate)
+        adj = adjacency_of(candidate)
+        alpha = current_alpha if adj == current_adj else _mis_bitset(adj)[0]
         if alpha < best_alpha:  # monotone by construction: only strict improvements
             best_alpha = alpha
             best_first = candidate
@@ -175,6 +196,7 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
             accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
         if accept:
             first = candidate
+            current_adj = adj
             current_alpha = alpha
             accepted += 1
     best_masks = _chain_masks(edges, best_first, cfg.r)
@@ -278,10 +300,16 @@ def _records_from_docs(docs: Iterable[object], verify: bool) -> list[SearchRecor
 
 
 def load_records(path: str | Path, verify: bool = False) -> list[SearchRecord]:
-    """Read a records file, validating every line; verify=True re-checks each alpha."""
+    """Read a records file, validating every line; verify=True re-checks each alpha.
+
+    An empty file is refused: it holds no record to return.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         docs = (_decode_line(lineno, raw) for lineno, raw in enumerate(handle, 1))
-        return _records_from_docs(docs, verify)
+        records = _records_from_docs(docs, verify)
+    if not records:
+        raise ValueError(_NO_RECORDS)
+    return records
 
 
 def _load_records_or_chain(path: str, verify: bool) -> list[SearchRecord] | GraphChain:
@@ -293,7 +321,7 @@ def _load_records_or_chain(path: str, verify: bool) -> list[SearchRecord] | Grap
     """
     text = Path(path).read_text(encoding="utf-8")
     if not text:
-        raise ValueError(f"cannot verify {path}: the records file holds no records")
+        raise ValueError(f"cannot verify {path}: {_NO_RECORDS}")
     head, _, rest = text.partition("\n")
     try:
         doc = _decode_line(1, head)

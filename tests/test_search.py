@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincliq import (
+    Graph,
+    GraphChain,
     SearchConfig,
     SearchRecord,
     SplitMix64,
@@ -24,12 +27,22 @@ from chaincliq import (
     relabel_chain,
     write_record,
 )
+from chaincliq import search
 from chaincliq.chains import SINGLE_STEP, StepDistribution
 from chaincliq.derived import _adjacency_from_steps, _difference_adjacency
 from chaincliq.graphs import _bits, _slot_vertex_masks
-from chaincliq.search import _chain_masks, _chain_steps, _propose_resplit, _propose_swap
+from chaincliq.oracle import _mis_bitset
+from chaincliq.search import (
+    _DECAY,
+    _INITIAL_TEMPERATURE,
+    _chain_masks,
+    _chain_steps,
+    _entry_steps,
+    _propose_resplit,
+    _propose_swap,
+)
 
-from strategies import chains
+from strategies import chains, suffix_chains
 
 STAMP = "2026-01-01T00:00:00Z"
 
@@ -100,6 +113,52 @@ def assert_moves_match_reference(chain, seed):
         assert rng.state == ref_rng.state
 
 
+def reference_search(cfg, timestamp):
+    """The annealer with no shortcut: entry steps found by a scan over the
+    chain, and every candidate's alpha solved exactly."""
+    rng = SplitMix64(cfg.seed)
+    masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
+    edges = list(_bits(masks[-1]))
+    first = [_first_step(masks, 1 << e) for e in edges]
+    vmasks = [_slot_vertex_masks(cfg.n)[e] for e in edges]
+
+    def alpha_of(candidate):
+        return _mis_bitset(_adjacency_from_steps(*_chain_steps(vmasks, candidate, cfg.r)))[0]
+
+    current_alpha = best_alpha = alpha_of(first)
+    best_first = first
+    accepted = 0
+    for step in range(cfg.budget):
+        if rng.uniform() < 0.5:
+            candidate = _propose_resplit(first, cfg.r, rng)
+        else:
+            candidate = _propose_swap(first, rng)
+        if candidate is None:
+            continue
+        alpha = alpha_of(candidate)
+        if alpha < best_alpha:
+            best_alpha, best_first = alpha, candidate
+        delta = alpha - current_alpha
+        if delta <= 0:
+            accept = True
+        else:
+            temperature = max(_INITIAL_TEMPERATURE * _DECAY**step, 1e-12)
+            accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
+        if accept:
+            first, current_alpha = candidate, alpha
+            accepted += 1
+    best = _chain_masks(edges, best_first, cfg.r)
+    chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mask) for mask in best))
+    return SearchRecord(chain, best_alpha, Fraction(best_alpha, cfg.r), cfg.seed, cfg.budget,
+                        accepted, timestamp)
+
+
+def assert_entry_steps_match_reference(chain):
+    masks = [g.mask for g in chain.graphs]
+    edges = list(_bits(masks[-1]))
+    assert _entry_steps(masks) == (edges, [_first_step(masks, 1 << e) for e in edges])
+
+
 class TestSearchConfigValidation:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError, match="budget"):
@@ -162,6 +221,15 @@ class TestLocalSearch:
         append_record(path, rec)
         assert load_records(path, verify=True) == [rec]
 
+    def test_top_of_range_replays_and_verifies(self, tmp_path):
+        rec = local_search_min_ratio(SearchConfig(64, 2017, 2, 0), timestamp=STAMP)
+        replay = SearchConfig(rec.chain.n, rec.chain.r, rec.budget, rec.seed)
+        replayed = local_search_min_ratio(replay, timestamp=rec.timestamp)
+        assert write_record(replayed) == write_record(rec)
+        path = tmp_path / "records.ldjson"
+        append_record(path, rec)
+        assert load_records(path, verify=True) == [rec]
+
     def test_infeasible_length_propagates(self):
         with pytest.raises(ValueError, match=r"r exceeds C\(n,2\)\+1"):
             local_search_min_ratio(SearchConfig(n=2, r=4, budget=1, seed=0))
@@ -179,6 +247,48 @@ class TestMovesMatchReference:
     def test_random_chains(self, chain, seeds):
         for seed in seeds:
             assert_moves_match_reference(chain, seed)
+
+
+class TestEntryStepsMatchReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_enumerated_chain(self, n):
+        for r in range(1, comb(n, 2) + 2):
+            for chain in enumerate_chains(n, r):
+                assert_entry_steps_match_reference(chain)
+
+    @given(st.one_of(chains(max_n=9, max_r=37), suffix_chains(max_n=9, max_r=37)))
+    def test_random_chains(self, chain):
+        assert_entry_steps_match_reference(chain)
+
+
+class TestSearchMatchesReference:
+    """The solver skip leaves every seeded record byte-identical."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("half", [False, True], ids=["maximal", "half"])
+    @pytest.mark.parametrize("seed", [0, 41])
+    def test_record_bytes(self, n, half, seed):
+        r = comb(n, 2) // 2 + 1 if half else comb(n, 2) + 1
+        cfg = SearchConfig(n, r, 150, seed)
+        expected = write_record(reference_search(cfg, STAMP))
+        assert write_record(local_search_min_ratio(cfg, timestamp=STAMP)) == expected
+
+    def test_solver_runs_only_on_changed_graphs(self, monkeypatch):
+        calls = {"build": 0, "solve": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(search, "_adjacency_from_steps",
+                            counted("build", search._adjacency_from_steps))
+        monkeypatch.setattr(search, "_mis_bitset", counted("solve", search._mis_bitset))
+        local_search_min_ratio(SearchConfig(11, 56, 250, 123), timestamp=STAMP)
+        candidates = calls["build"] - 1  # the first build is the start state
+        assert candidates > 0
+        assert 5 * calls["solve"] < candidates
 
 
 class TestStepsMatchMasks:
@@ -261,10 +371,12 @@ class TestRecordsFile:
         assert load_records(path) == [first, second]
         assert load_records(path, verify=True) == [first, second]
 
-    def test_empty_file_loads_to_empty_list(self, tmp_path):
+    def test_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "records.ldjson"
         path.write_text("")
-        assert load_records(path) == []
+        for verify in (False, True):
+            with pytest.raises(ValueError, match="^the records file holds no records$"):
+                load_records(path, verify=verify)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "records.ldjson"

@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="anneal for chains with a small independence ratio")
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--r", type=int, required=True, help="chain length")
-    p.add_argument("--budget", type=int, default=10_000, help="move evaluations (default 10000)")
+    p.add_argument("--budget", type=int, default=10_000, help="move proposals, rejected ones included (default 10000)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     group = p.add_mutually_exclusive_group()  # a records file keeps one record per line
     group.add_argument("--out", metavar="PATH", help="append the record to this records file")

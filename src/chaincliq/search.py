@@ -2,21 +2,28 @@
 
 The objective of a chain is alpha/r where alpha is the exact independence
 number of its difference graph; witness sizes are only lower bounds and
-would skew the landscape. Each candidate's difference graph is built in
-full, and the exact solver runs only when that graph differs from the
-current state's, since alpha depends on the graph alone. No move changes
-the last graph, so the search state is the step (0 to r-1) at which each
-of its edges enters; step s's graph holds the edges entering at or
-before s. Two moves change entry steps:
+would skew the landscape. No move changes the last graph, so the search
+state is the step (0 to r-1) at which each of its edges enters; step s's
+graph holds the edges entering at or before s. Two moves change entry
+steps:
 
   * resplit: move one edge's entry step to an adjacent step,
   * swap: exchange the entry steps of two edges.
 
+The start state's difference graph is built in full. A move changes a run
+of graphs G_a..G_(b-1), each by the same edit, so a candidate's graph is
+the current one with only the pairs that have one index in [a, b) tested
+again (_moved_adjacency). The exact solver runs only when that graph
+differs from the current state's, since alpha depends on the graph alone.
+
 Alpha is invariant under vertex permutations, so no move relabels. A
 resplit that leaves a step after the first with no entering edge would
 break strict nesting and is rejected, not repaired; rejected proposals
-still consume budget. Runs are pure functions of their configuration
-(plus the supplied timestamp), so any recorded result replays bit for bit.
+still consume budget. The start is a single-step chain from the empty
+graph, so every step after G_0 holds one edge, swaps keep it so, and no
+resplit ever yields a candidate; the update handles resplits all the same.
+Runs are pure functions of their configuration (plus the supplied
+timestamp), so any recorded result replays bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .chains import (
     random_chain,
 )
 from .derived import _adjacency_from_steps, build_difference_graph
-from .graphs import Graph, _bits, _slot_vertex_masks
+from .graphs import Graph, _TRIANGLE_SIDE, _bits, _slot_vertex_masks
 from .oracle import _mis_bitset, max_independent_set
 from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
@@ -121,7 +128,8 @@ def _chain_steps(vmasks: list[int], first: list[int], r: int) -> tuple[list[int]
     """Per step s, the vertex support of the edges entering at s and the edge count of G_s.
 
     vmasks[k] is the endpoint mask of the k-th edge; this is the input of
-    _adjacency_from_steps without building any graph's edge mask.
+    _adjacency_from_steps and _moved_adjacency without building any graph's
+    edge mask.
     """
     steps = [0] * r
     sizes = [0] * r
@@ -129,6 +137,59 @@ def _chain_steps(vmasks: list[int], first: list[int], r: int) -> tuple[list[int]
         steps[step] |= vmask
         sizes[step] += 1
     return steps, list(accumulate(sizes))
+
+
+def _moved_adjacency(
+    adj: list[int], steps: list[int], counts: list[int], a: int, b: int
+) -> list[int]:
+    """The difference-graph adjacency after a move that edits G_a..G_(b-1) alike.
+
+    adj is the adjacency before the move; steps and counts describe the chain
+    after it, as _chain_steps gives them. The move must take the same edges
+    out of each of G_a..G_(b-1), put the same edges in, and leave every other
+    graph as it was. A swap of entry steps a < b does that, and so does a
+    resplit, which changes G_a alone (b = a + 1). Then G_j minus G_i is
+    unchanged when i < j lie both inside [a, b) or both outside it, and only
+    the pairs with exactly one index inside are tested again. They form two
+    blocks, i < a <= j < b and a <= i < b <= j. With h the block's split
+    point (a, then b), the difference spans the OR of steps i+1..h-1 and of
+    steps h..j, so a pair costs one OR and one lookup, as in
+    _adjacency_from_steps. adj is never changed, and a == b returns it.
+    """
+    if a == b:
+        return adj
+    inner = (1 << b) - (1 << a)
+    out = [row & ~inner for row in adj]
+    out[a:b] = [row & inner for row in adj[a:b]]
+    side = _TRIANGLE_SIDE.get
+    for lo, h, hi in ((0, a, b), (a, b, len(adj))):
+        below = []  # (i, counts[i], OR of steps i+1..h-1) for i = h-1 down to lo
+        low = 0
+        for i in range(h - 1, lo - 1, -1):
+            below.append((i, counts[i], low))
+            low |= steps[i]
+        run = 0  # OR of steps h..j
+        for j in range(h, hi):
+            run |= steps[j]
+            cj = counts[j]
+            row = 0
+            for i, ci, span in below:
+                t = side(cj - ci)
+                if t is not None and (span | run).bit_count() == t:
+                    row |= 1 << i
+                    out[i] |= 1 << j
+            out[j] |= row
+    return out
+
+
+def _moved_graphs(first: list[int], candidate: list[int]) -> tuple[int, int]:
+    """(a, b) such that a swap or a resplit from first to candidate changes G_a..G_(b-1).
+
+    Both moves change the graphs from the least entry step they move up to,
+    not including, the greatest; a == b when no entry step moves.
+    """
+    moved = [s for old, new in zip(first, candidate) if old != new for s in (old, new)]
+    return min(moved, default=0), max(moved, default=0)
 
 
 def _propose_resplit(first: list[int], r: int, rng: SplitMix64) -> list[int] | None:
@@ -167,11 +228,7 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
     edges, first = _entry_steps(masks)
     vmasks = [_slot_vertex_masks(cfg.n)[e] for e in edges]
-
-    def adjacency_of(candidate: list[int]) -> list[int]:
-        return _adjacency_from_steps(*_chain_steps(vmasks, candidate, cfg.r))
-
-    current_adj = adjacency_of(first)
+    current_adj = _adjacency_from_steps(*_chain_steps(vmasks, first, cfg.r))
     current_alpha = _mis_bitset(current_adj)[0]
     best_alpha = current_alpha
     best_first = first
@@ -183,7 +240,8 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
             candidate = _propose_swap(first, rng)
         if candidate is None:
             continue
-        adj = adjacency_of(candidate)
+        steps, counts = _chain_steps(vmasks, candidate, cfg.r)
+        adj = _moved_adjacency(current_adj, steps, counts, *_moved_graphs(first, candidate))
         alpha = current_alpha if adj == current_adj else _mis_bitset(adj)[0]
         if alpha < best_alpha:  # monotone by construction: only strict improvements
             best_alpha = alpha

@@ -38,6 +38,8 @@ from chaincliq.search import (
     _chain_masks,
     _chain_steps,
     _entry_steps,
+    _moved_adjacency,
+    _moved_graphs,
     _propose_resplit,
     _propose_swap,
 )
@@ -273,8 +275,15 @@ class TestSearchMatchesReference:
         expected = write_record(reference_search(cfg, STAMP))
         assert write_record(local_search_min_ratio(cfg, timestamp=STAMP)) == expected
 
+    @pytest.mark.parametrize("n,r,budget", [(20, 150, 200), (64, 700, 20)])
+    @pytest.mark.parametrize("seed", [0, 41])
+    def test_record_bytes_long_chains(self, n, r, budget, seed):
+        cfg = SearchConfig(n, r, budget, seed)
+        expected = write_record(reference_search(cfg, STAMP))
+        assert write_record(local_search_min_ratio(cfg, timestamp=STAMP)) == expected
+
     def test_solver_runs_only_on_changed_graphs(self, monkeypatch):
-        calls = {"build": 0, "solve": 0}
+        calls = {"build": 0, "move": 0, "solve": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -284,9 +293,11 @@ class TestSearchMatchesReference:
 
         monkeypatch.setattr(search, "_adjacency_from_steps",
                             counted("build", search._adjacency_from_steps))
+        monkeypatch.setattr(search, "_moved_adjacency", counted("move", search._moved_adjacency))
         monkeypatch.setattr(search, "_mis_bitset", counted("solve", search._mis_bitset))
         local_search_min_ratio(SearchConfig(11, 56, 250, 123), timestamp=STAMP)
-        candidates = calls["build"] - 1  # the first build is the start state
+        assert calls["build"] == 1  # the start state; every candidate is an update
+        candidates = calls["move"]
         assert candidates > 0
         assert 5 * calls["solve"] < candidates
 
@@ -316,6 +327,81 @@ class TestStepsMatchMasks:
                 first = candidate
             expected = _difference_adjacency(n, _chain_masks(edges, first, r))
             assert _adjacency_from_steps(*_chain_steps(vmasks, first, r)) == expected
+
+
+def assert_moved_adjacency_matches_build(vmasks, r, first, candidate):
+    """The update from first's adjacency equals candidate's full build, and
+    (a, b) spans exactly the graphs whose edge masks the move changes."""
+    edges = range(len(first))  # any distinct slots give the same masks to compare
+    before, after = _chain_masks(edges, first, r), _chain_masks(edges, candidate, r)
+    changed = [k for k in range(r) if before[k] != after[k]]
+    a, b = _moved_graphs(first, candidate)
+    assert (a, b) == ((changed[0], changed[-1] + 1) if changed else (a, a))
+    adj = _adjacency_from_steps(*_chain_steps(vmasks, first, r))
+    kept = list(adj)
+    steps, counts = _chain_steps(vmasks, candidate, r)
+    assert _moved_adjacency(adj, steps, counts, a, b) == _adjacency_from_steps(steps, counts)
+    assert adj == kept
+
+
+class TestMovedAdjacency:
+    """The block update equals the full build on every move it is given."""
+
+    @pytest.mark.parametrize("n,r,moves", [
+        (4, 7, 400), (7, 20, 400), (11, 56, 400), (12, 40, 400), (64, 300, 40),
+    ])
+    @pytest.mark.parametrize("dist", [SINGLE_STEP, StepDistribution("geometric", 0.5)],
+                             ids=["single", "geometric"])
+    def test_random_walks(self, n, r, moves, dist):
+        masks = [g.mask for g in random_chain(n, r, dist, 3).graphs]
+        edges, first = _entry_steps(masks)
+        vmasks = [_slot_vertex_masks(n)[e] for e in edges]
+        multi_edge_steps = len(set(first)) < len(first)
+        rng = SplitMix64(5)
+        resplits = 0
+        for _ in range(moves):
+            if rng.below(2):
+                candidate = _propose_resplit(first, r, rng)
+                resplits += candidate is not None
+            else:
+                candidate = _propose_swap(first, rng)
+            if candidate is not None:
+                assert_moved_adjacency_matches_build(vmasks, r, first, candidate)
+                first = candidate
+        # when every step after an empty G_0 holds one edge, no resplit moves
+        assert (resplits > 0) == multi_edge_steps
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_move_of_every_enumerated_chain(self, n):
+        vmasks_of = _slot_vertex_masks(n)
+        for r in range(1, comb(n, 2) + 2):
+            for chain in enumerate_chains(n, r):
+                edges, first = _entry_steps([g.mask for g in chain.graphs])
+                vmasks = [vmasks_of[e] for e in edges]
+                for k, step in enumerate(first):
+                    for target in (step - 1, step + 1):
+                        if 0 <= target < r and (step == 0 or first.count(step) > 1):
+                            candidate = list(first)
+                            candidate[k] = target
+                            assert_moved_adjacency_matches_build(vmasks, r, first, candidate)
+                    for k2 in range(k + 1, len(first)):
+                        candidate = list(first)
+                        candidate[k], candidate[k2] = first[k2], first[k]
+                        assert_moved_adjacency_matches_build(vmasks, r, first, candidate)
+
+    def test_swap_within_one_step_returns_the_current_adjacency(self):
+        n, r = 12, 40
+        masks = [g.mask for g in random_chain(n, r, StepDistribution("geometric", 0.5), 1).graphs]
+        edges, first = _entry_steps(masks)
+        vmasks = [_slot_vertex_masks(n)[e] for e in edges]
+        k, k2 = next((k, k2) for k in range(len(first)) for k2 in range(k + 1, len(first))
+                     if first[k] == first[k2])
+        candidate = list(first)
+        candidate[k], candidate[k2] = first[k2], first[k]
+        a, b = _moved_graphs(first, candidate)
+        assert a == b
+        adj = _adjacency_from_steps(*_chain_steps(vmasks, first, r))
+        assert _moved_adjacency(adj, *_chain_steps(vmasks, candidate, r), a, b) is adj
 
 
 def chain_digest(chain):

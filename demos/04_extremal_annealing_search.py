@@ -2,9 +2,9 @@
 
 The proven floor says alpha/r >= max(1, ceil(floor(r/3)/2))/r, roughly
 1/6, but nobody knows how close real chains can get. This script runs
-seeded annealing over resplit/swap moves with the exact solver as
-the objective, persists the results as line-delimited JSON records, and
-reloads them with full re-verification.
+seeded annealing over swaps of two edges' entry steps with the exact
+solver as the objective, persists the results as line-delimited JSON
+records, and reloads them with full re-verification.
 """
 
 import sys

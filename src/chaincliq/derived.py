@@ -18,9 +18,9 @@ A consequence of the same argument is that difference graphs of chains
 are triangle-free; find_triangle exists to watch that invariant.
 
 Each check returns None when its fact holds, else the lexicographically
-first index tuple that breaks it. All three accept arbitrary adjacency
-data, so hand-built graphs that no chain produces can and should make
-them return a tuple.
+first index tuple that breaks it. All three accept any symmetric,
+irreflexive adjacency, so hand-built graphs that no chain produces can
+and should make them return a tuple.
 """
 
 from __future__ import annotations
@@ -43,10 +43,32 @@ class DifferenceGraph:
 
     adj[i] is a bitmask over 0-based indices; r = len(adj), and left/right
     counts, the neighbors below and above each index, are computed from adj
-    on first use. Build via build_difference_graph or difference_graph_from_edges.
+    on first use. Build via build_difference_graph or difference_graph_from_edges;
+    rows that are not such a graph raise ValueError.
     """
 
     adj: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        adj = self.adj
+        bound = 1 << len(adj)
+        for i, row in enumerate(adj, 1):
+            if type(row) is not int or not 0 <= row < bound:
+                raise ValueError(f"adjacency row {i} must be an integer in [0, 2^{len(adj)})")
+            if row >> (i - 1) & 1:
+                raise ValueError(f"adjacency row {i} joins index {i} to itself")
+        mirrored = 0  # bits above the diagonal whose mirror bit is set
+        for i, row in enumerate(adj):
+            above = row >> i
+            while above:
+                low = above & -above
+                mirrored += adj[i + low.bit_length() - 1] >> i & 1
+                above ^= low
+        # a mirrored pair is one bit on each side of the diagonal, so every bit is mirrored iff
+        if 2 * mirrored != sum(map(int.bit_count, adj)):
+            i, j = next((i, j) for i, row in enumerate(adj) for j in _bits(row) if not adj[j] >> i & 1)
+            raise ValueError(f"adjacency is not symmetric: row {i + 1} joins {j + 1}, "
+                             f"row {j + 1} does not join {i + 1}")
 
     @property
     def r(self) -> int:

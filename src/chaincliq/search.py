@@ -2,28 +2,26 @@
 
 The objective of a chain is alpha/r where alpha is the exact independence
 number of its difference graph; witness sizes are only lower bounds and
-would skew the landscape. No move changes the last graph, so the search
-state is the step (0 to r-1) at which each of its edges enters; step s's
-graph holds the edges entering at or before s. Two moves change entry
-steps:
+would skew the landscape. The start is a seeded single-step chain from
+the empty graph: G_0 is empty and each later step adds one edge. No move
+changes the last graph, so the state is the step (1 to r-1) at which each
+edge enters, one edge per step, and the support of the edge entering at
+each step.
 
-  * resplit: move one edge's entry step to an adjacent step,
-  * swap: exchange the entry steps of two edges.
+A move swaps the entry steps of two edges, which swaps two step supports
+in place. A swap of steps a < b changes G_a..G_(b-1), each by the same
+edit, so a candidate's difference graph is the current one with only the
+pairs that have one index in [a, b) tested again (_moved_adjacency). The
+exact solver runs only when that graph differs from the current state's,
+since alpha depends on the graph alone. Alpha is invariant under vertex
+permutations, so no move relabels.
 
-The start state's difference graph is built in full. A move changes a run
-of graphs G_a..G_(b-1), each by the same edit, so a candidate's graph is
-the current one with only the pairs that have one index in [a, b) tested
-again (_moved_adjacency). The exact solver runs only when that graph
-differs from the current state's, since alpha depends on the graph alone.
-
-Alpha is invariant under vertex permutations, so no move relabels. A
-resplit that leaves a step after the first with no entering edge would
-break strict nesting and is rejected, not repaired; rejected proposals
-still consume budget. The start is a single-step chain from the empty
-graph, so every step after G_0 holds one edge, swaps keep it so, and no
-resplit ever yields a candidate; the update handles resplits all the same.
-Runs are pure functions of their configuration (plus the supplied
-timestamp), so any recorded result replays bit for bit.
+Half the proposals are resplits, which would move one edge's entry step
+to an adjacent step. That always empties a one-edge step and breaks
+strict nesting, so a resplit draws its edge and direction and never
+moves. Rejected proposals still consume budget. Runs are pure functions
+of their configuration (plus the supplied timestamp), so any recorded
+result replays bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable
 
@@ -49,7 +46,7 @@ from .chains import (
     random_chain,
 )
 from .derived import _adjacency_from_steps, build_difference_graph
-from .graphs import Graph, _TRIANGLE_SIDE, _bits, _slot_vertex_masks
+from .graphs import Graph, _TRIANGLE_SIDE, _slot_vertex_masks
 from .oracle import _mis_bitset, max_independent_set
 from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
@@ -108,46 +105,15 @@ def _chain_masks(edges: list[int], first: list[int], r: int) -> list[int]:
     return masks
 
 
-def _entry_steps(masks: list[int]) -> tuple[list[int], list[int]]:
-    """The edges of the last graph in slot order, and the step at which each enters.
-
-    An edge enters at the first graph that holds it. Each step's added edges
-    are walked once, so this costs O(r + m) for m edges.
-    """
-    entry = {}
-    below = 0
-    for step, mask in enumerate(masks):
-        for e in _bits(mask & ~below):
-            entry[e] = step
-        below = mask
-    edges = sorted(entry)
-    return edges, [entry[e] for e in edges]
-
-
-def _chain_steps(vmasks: list[int], first: list[int], r: int) -> tuple[list[int], list[int]]:
-    """Per step s, the vertex support of the edges entering at s and the edge count of G_s.
-
-    vmasks[k] is the endpoint mask of the k-th edge; this is the input of
-    _adjacency_from_steps and _moved_adjacency without building any graph's
-    edge mask.
-    """
-    steps = [0] * r
-    sizes = [0] * r
-    for vmask, step in zip(vmasks, first):
-        steps[step] |= vmask
-        sizes[step] += 1
-    return steps, list(accumulate(sizes))
-
-
 def _moved_adjacency(
     adj: list[int], steps: list[int], counts: list[int], a: int, b: int
 ) -> list[int]:
     """The difference-graph adjacency after a move that edits G_a..G_(b-1) alike.
 
     adj is the adjacency before the move; steps and counts describe the chain
-    after it, as _chain_steps gives them. The move must take the same edges
-    out of each of G_a..G_(b-1), put the same edges in, and leave every other
-    graph as it was. A swap of entry steps a < b does that, and so does a
+    after it, as _adjacency_from_steps reads them. The move must take the
+    same edges out of each of G_a..G_(b-1), put the same edges in, and leave
+    every other graph as it was. A swap of entry steps a < b does that, and so does a
     resplit, which changes G_a alone (b = a + 1). Then G_j minus G_i is
     unchanged when i < j lie both inside [a, b) or both outside it, and only
     the pairs with exactly one index inside are tested again. They form two
@@ -182,42 +148,6 @@ def _moved_adjacency(
     return out
 
 
-def _moved_graphs(first: list[int], candidate: list[int]) -> tuple[int, int]:
-    """(a, b) such that a swap or a resplit from first to candidate changes G_a..G_(b-1).
-
-    Both moves change the graphs from the least entry step they move up to,
-    not including, the greatest; a == b when no entry step moves.
-    """
-    moved = [s for old, new in zip(first, candidate) if old != new for s in (old, new)]
-    return min(moved, default=0), max(moved, default=0)
-
-
-def _propose_resplit(first: list[int], r: int, rng: SplitMix64) -> list[int] | None:
-    if not first:
-        return None
-    k = rng.below(len(first))
-    step = first[k]
-    target = step - 1 if rng.below(2) == 0 else step + 1
-    # strict nesting: G_step must keep an entering edge unless it is G_0
-    if not 0 <= target < r or (step > 0 and first.count(step) == 1):
-        return None
-    out = list(first)
-    out[k] = target
-    return out
-
-
-def _propose_swap(first: list[int], rng: SplitMix64) -> list[int] | None:
-    if len(first) < 2:
-        return None
-    i = rng.below(len(first))
-    j = rng.below(len(first) - 1)
-    if j >= i:
-        j += 1
-    out = list(first)
-    out[i], out[j] = first[j], first[i]
-    return out
-
-
 def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> SearchRecord:
     """Anneal from a seeded random chain, returning the best record seen.
 
@@ -226,26 +156,35 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     """
     rng = SplitMix64(cfg.seed)
     masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
-    edges, first = _entry_steps(masks)
-    vmasks = [_slot_vertex_masks(cfg.n)[e] for e in edges]
-    current_adj = _adjacency_from_steps(*_chain_steps(vmasks, first, cfg.r))
+    entering = [(masks[s] & ~masks[s - 1]).bit_length() - 1 for s in range(1, cfg.r)]
+    first = sorted(range(1, cfg.r), key=lambda s: entering[s - 1])  # in slot order
+    edges = [entering[s - 1] for s in first]
+    vmasks = _slot_vertex_masks(cfg.n)
+    steps = [0] + [vmasks[e] for e in entering]
+    counts = list(range(cfg.r))
+    current_adj = _adjacency_from_steps(steps, counts)
     current_alpha = _mis_bitset(current_adj)[0]
     best_alpha = current_alpha
-    best_first = first
+    best_first = list(first)
     accepted = 0
     for step in range(cfg.budget):
         if rng.uniform() < 0.5:
-            candidate = _propose_resplit(first, cfg.r, rng)
-        else:
-            candidate = _propose_swap(first, rng)
-        if candidate is None:
+            if edges:
+                # A resplit would empty a one-edge step, so it never moves; its
+                # draws stay so that seeded records replay byte for byte.
+                rng.below(len(edges))
+                rng.below(2)
             continue
-        steps, counts = _chain_steps(vmasks, candidate, cfg.r)
-        adj = _moved_adjacency(current_adj, steps, counts, *_moved_graphs(first, candidate))
+        if len(edges) < 2:
+            continue
+        i = rng.below(len(edges))
+        j = rng.below(len(edges) - 1)
+        if j >= i:
+            j += 1
+        a, b = sorted((first[i], first[j]))
+        steps[a], steps[b] = steps[b], steps[a]
+        adj = _moved_adjacency(current_adj, steps, counts, a, b)
         alpha = current_alpha if adj == current_adj else _mis_bitset(adj)[0]
-        if alpha < best_alpha:  # monotone by construction: only strict improvements
-            best_alpha = alpha
-            best_first = candidate
         delta = alpha - current_alpha
         if delta <= 0:
             accept = True
@@ -253,10 +192,15 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
             temperature = max(_INITIAL_TEMPERATURE * _DECAY**step, 1e-12)
             accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
         if accept:
-            first = candidate
+            first[i], first[j] = first[j], first[i]
             current_adj = adj
             current_alpha = alpha
             accepted += 1
+        else:
+            steps[a], steps[b] = steps[b], steps[a]
+        if alpha < best_alpha:  # best <= current, so an improvement was just accepted
+            best_alpha = alpha
+            best_first = list(first)
     best_masks = _chain_masks(edges, best_first, cfg.r)
     chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mk) for mk in best_masks))
     ratio = Fraction(best_alpha, cfg.r)

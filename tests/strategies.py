@@ -1,7 +1,8 @@
 """Shared test helpers: seeded-chain strategies, the v1 chain writer, one-value
 document mutations, crafted vertex subsets, a naive solver, the per-chain
-theorem sweep."""
+theorem sweep, a chain digest."""
 
+import hashlib
 import json
 from math import comb
 
@@ -156,3 +157,9 @@ def reference_theorem_report(n, r):
         argmin_chain=argmin_chain,
         bound_ok=min_alpha >= alon_guarantee(r),
     )
+
+
+def chain_digest(chain):
+    """A digest of the chain's masks, independent of how a document lays them out."""
+    text = ",".join([str(chain.n), *(format(g.mask, "x") for g in chain.graphs)])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

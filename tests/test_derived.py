@@ -309,6 +309,22 @@ class TestAdjacencyIsTheWholeGraph:
         assert verify_lemma_123(dg) == (4, 5, 6)
 
 
+class TestMalformedAdjacencyRefused:
+    @pytest.mark.parametrize("adj,message", [
+        ((2, 0), "not symmetric: row 1 joins 2, row 2 does not join 1"),
+        ((0, 1), "not symmetric: row 2 joins 1, row 1 does not join 2"),
+        ((1, 0), "row 1 joins index 1 to itself"),
+        ((0, 1.0), r"row 2 must be an integer in \[0, 2\^2\)"),
+        ((True,), r"row 1 must be an integer in \[0, 2\^1\)"),
+        ((4, 0), r"row 1 must be an integer in \[0, 2\^2\)"),
+        ((-1, 0), r"row 1 must be an integer in \[0, 2\^2\)"),
+    ], ids=["one-sided", "one-sided-below", "self-loop", "float-row", "bool-row", "bit-past-r",
+            "negative-row"])
+    def test_raises_value_error(self, adj, message):
+        with pytest.raises(ValueError, match=message):
+            DifferenceGraph(adj)
+
+
 class TestMirrorSymmetry:
     @given(chains())
     def test_reversal_mirrors_the_difference_graph(self, chain):

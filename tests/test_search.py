@@ -1,6 +1,5 @@
 """Annealing search determinism, records persistence, and invariants."""
 
-import hashlib
 import json
 import math
 from fractions import Fraction
@@ -29,27 +28,17 @@ from chaincliq import (
 )
 from chaincliq import search
 from chaincliq.chains import SINGLE_STEP, StepDistribution
-from chaincliq.derived import _adjacency_from_steps, _difference_adjacency
+from chaincliq.derived import _difference_adjacency
 from chaincliq.graphs import _bits, _slot_vertex_masks
 from chaincliq.oracle import _mis_bitset
-from chaincliq.search import (
-    _DECAY,
-    _INITIAL_TEMPERATURE,
-    _chain_masks,
-    _chain_steps,
-    _entry_steps,
-    _moved_adjacency,
-    _moved_graphs,
-    _propose_resplit,
-    _propose_swap,
-)
+from chaincliq.search import _DECAY, _INITIAL_TEMPERATURE, _moved_adjacency
 
-from strategies import chains, suffix_chains
+from strategies import chain_digest, chains
 
 STAMP = "2026-01-01T00:00:00Z"
 
 
-# Reference moves: the same proposals written as edits of the cumulative
+# Reference moves: the annealer's proposals written as edits of the cumulative
 # edge masks, finding each edge's entry step by a scan over the chain.
 
 def _first_step(masks, bit):
@@ -59,13 +48,10 @@ def _first_step(masks, bit):
     raise AssertionError("edge not present in the chain")
 
 
-def _reference_resplit(masks, rng):
-    edges = list(_bits(masks[-1]))
-    if not edges:
-        return None
-    bit = 1 << edges[rng.below(len(edges))]
+def _resplit(masks, bit, direction):
+    """The chain with edge `bit` entering one step earlier (-1) or later (+1),
+    or None when that leaves a step after the first with no entering edge."""
     step = _first_step(masks, bit)
-    direction = -1 if rng.below(2) == 0 else 1
     target = step + direction
     if target < 0 or target >= len(masks):
         return None
@@ -81,6 +67,23 @@ def _reference_resplit(masks, rng):
     return out
 
 
+def _swap(masks, bit_e, bit_f):
+    """The chain with the entry steps of two edges exchanged."""
+    se, sf = _first_step(masks, bit_e), _first_step(masks, bit_f)
+    out = list(masks)
+    for k in range(min(se, sf), max(se, sf)):
+        out[k] ^= bit_e | bit_f
+    return out
+
+
+def _reference_resplit(masks, rng):
+    edges = list(_bits(masks[-1]))
+    if not edges:
+        return None
+    bit = 1 << edges[rng.below(len(edges))]
+    return _resplit(masks, bit, -1 if rng.below(2) == 0 else 1)
+
+
 def _reference_swap(masks, rng):
     edges = list(_bits(masks[-1]))
     if len(edges) < 2:
@@ -89,57 +92,31 @@ def _reference_swap(masks, rng):
     j = rng.below(len(edges) - 1)
     if j >= i:
         j += 1
-    bit_e, bit_f = 1 << edges[i], 1 << edges[j]
-    se, sf = _first_step(masks, bit_e), _first_step(masks, bit_f)
-    out = list(masks)
-    for k in range(min(se, sf), max(se, sf)):
-        out[k] ^= bit_e | bit_f
-    return out
-
-
-def assert_moves_match_reference(chain, seed):
-    masks = [g.mask for g in chain.graphs]
-    edges = list(_bits(masks[-1]))
-    first = [_first_step(masks, 1 << e) for e in edges]
-    assert _chain_masks(edges, first, chain.r) == masks
-    moves = [
-        (_reference_resplit, lambda rng: _propose_resplit(first, chain.r, rng)),
-        (_reference_swap, lambda rng: _propose_swap(first, rng)),
-    ]
-    for reference, move in moves:
-        ref_rng, rng = SplitMix64(seed), SplitMix64(seed)
-        expected, got = reference(masks, ref_rng), move(rng)
-        assert (got is None) == (expected is None)
-        if got is not None:
-            assert _chain_masks(edges, got, chain.r) == expected
-        assert rng.state == ref_rng.state
+    return _swap(masks, 1 << edges[i], 1 << edges[j])
 
 
 def reference_search(cfg, timestamp):
-    """The annealer with no shortcut: entry steps found by a scan over the
-    chain, and every candidate's alpha solved exactly."""
+    """The annealer with no shortcut: moves as edits of the edge masks, and
+    every candidate's difference graph built in full and solved exactly."""
     rng = SplitMix64(cfg.seed)
     masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
-    edges = list(_bits(masks[-1]))
-    first = [_first_step(masks, 1 << e) for e in edges]
-    vmasks = [_slot_vertex_masks(cfg.n)[e] for e in edges]
 
     def alpha_of(candidate):
-        return _mis_bitset(_adjacency_from_steps(*_chain_steps(vmasks, candidate, cfg.r)))[0]
+        return _mis_bitset(_difference_adjacency(cfg.n, candidate))[0]
 
-    current_alpha = best_alpha = alpha_of(first)
-    best_first = first
+    current_alpha = best_alpha = alpha_of(masks)
+    best = masks
     accepted = 0
     for step in range(cfg.budget):
         if rng.uniform() < 0.5:
-            candidate = _propose_resplit(first, cfg.r, rng)
+            candidate = _reference_resplit(masks, rng)
         else:
-            candidate = _propose_swap(first, rng)
+            candidate = _reference_swap(masks, rng)
         if candidate is None:
             continue
         alpha = alpha_of(candidate)
         if alpha < best_alpha:
-            best_alpha, best_first = alpha, candidate
+            best_alpha, best = alpha, candidate
         delta = alpha - current_alpha
         if delta <= 0:
             accept = True
@@ -147,18 +124,11 @@ def reference_search(cfg, timestamp):
             temperature = max(_INITIAL_TEMPERATURE * _DECAY**step, 1e-12)
             accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
         if accept:
-            first, current_alpha = candidate, alpha
+            masks, current_alpha = candidate, alpha
             accepted += 1
-    best = _chain_masks(edges, best_first, cfg.r)
     chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mask) for mask in best))
     return SearchRecord(chain, best_alpha, Fraction(best_alpha, cfg.r), cfg.seed, cfg.budget,
                         accepted, timestamp)
-
-
-def assert_entry_steps_match_reference(chain):
-    masks = [g.mask for g in chain.graphs]
-    edges = list(_bits(masks[-1]))
-    assert _entry_steps(masks) == (edges, [_first_step(masks, 1 << e) for e in edges])
 
 
 class TestSearchConfigValidation:
@@ -237,32 +207,6 @@ class TestLocalSearch:
             local_search_min_ratio(SearchConfig(n=2, r=4, budget=1, seed=0))
 
 
-class TestMovesMatchReference:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_every_enumerated_chain(self, n):
-        for r in range(1, comb(n, 2) + 2):
-            for chain in enumerate_chains(n, r):
-                for seed in range(24):
-                    assert_moves_match_reference(chain, seed)
-
-    @given(chains(max_n=7), st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4))
-    def test_random_chains(self, chain, seeds):
-        for seed in seeds:
-            assert_moves_match_reference(chain, seed)
-
-
-class TestEntryStepsMatchReference:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_every_enumerated_chain(self, n):
-        for r in range(1, comb(n, 2) + 2):
-            for chain in enumerate_chains(n, r):
-                assert_entry_steps_match_reference(chain)
-
-    @given(st.one_of(chains(max_n=9, max_r=37), suffix_chains(max_n=9, max_r=37)))
-    def test_random_chains(self, chain):
-        assert_entry_steps_match_reference(chain)
-
-
 class TestSearchMatchesReference:
     """The solver skip leaves every seeded record byte-identical."""
 
@@ -275,7 +219,8 @@ class TestSearchMatchesReference:
         expected = write_record(reference_search(cfg, STAMP))
         assert write_record(local_search_min_ratio(cfg, timestamp=STAMP)) == expected
 
-    @pytest.mark.parametrize("n,r,budget", [(20, 150, 200), (64, 700, 20)])
+    # (9, 19, 3000) at seed 0 rejects uphill moves, which the shorter runs never do
+    @pytest.mark.parametrize("n,r,budget", [(20, 150, 200), (64, 700, 20), (9, 19, 3000)])
     @pytest.mark.parametrize("seed", [0, 41])
     def test_record_bytes_long_chains(self, n, r, budget, seed):
         cfg = SearchConfig(n, r, budget, seed)
@@ -302,45 +247,33 @@ class TestSearchMatchesReference:
         assert 5 * calls["solve"] < candidates
 
 
-class TestStepsMatchMasks:
-    """The search's step supports give the build's adjacency on the search's states."""
-
-    @pytest.mark.parametrize("n,r,dist", [
-        (4, 7, SINGLE_STEP),
-        (7, 20, SINGLE_STEP),
-        (11, 56, SINGLE_STEP),
-        (12, 40, StepDistribution("geometric", 0.5)),
-    ])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_random_walks(self, n, r, dist, seed):
-        masks = [g.mask for g in random_chain(n, r, dist, seed).graphs]
-        edges = list(_bits(masks[-1]))
-        first = [_first_step(masks, 1 << e) for e in edges]
-        vmasks = [_slot_vertex_masks(n)[e] for e in edges]
-        rng = SplitMix64(seed)
-        for _ in range(200):
-            if rng.below(2):
-                candidate = _propose_resplit(first, r, rng)
-            else:
-                candidate = _propose_swap(first, rng)
-            if candidate is not None:
-                first = candidate
-            expected = _difference_adjacency(n, _chain_masks(edges, first, r))
-            assert _adjacency_from_steps(*_chain_steps(vmasks, first, r)) == expected
+def _steps_and_counts(n, masks):
+    """Per step s, the vertex support of G_s minus G_(s-1) (of G_0 itself at s = 0),
+    and the edge count of G_s."""
+    vmasks = _slot_vertex_masks(n)
+    steps, prev = [], 0
+    for mask in masks:
+        support = 0
+        for e in _bits(mask & ~prev):
+            support |= vmasks[e]
+        steps.append(support)
+        prev = mask
+    return steps, [mask.bit_count() for mask in masks]
 
 
-def assert_moved_adjacency_matches_build(vmasks, r, first, candidate):
-    """The update from first's adjacency equals candidate's full build, and
-    (a, b) spans exactly the graphs whose edge masks the move changes."""
-    edges = range(len(first))  # any distinct slots give the same masks to compare
-    before, after = _chain_masks(edges, first, r), _chain_masks(edges, candidate, r)
-    changed = [k for k in range(r) if before[k] != after[k]]
-    a, b = _moved_graphs(first, candidate)
-    assert (a, b) == ((changed[0], changed[-1] + 1) if changed else (a, a))
-    adj = _adjacency_from_steps(*_chain_steps(vmasks, first, r))
+def _changed_graphs(before, after):
+    """(a, b) with G_a..G_(b-1) the graphs a move changes; a == b when it changes none."""
+    changed = [k for k, (x, y) in enumerate(zip(before, after)) if x != y]
+    return (changed[0], changed[-1] + 1) if changed else (0, 0)
+
+
+def assert_moved_adjacency_matches_build(n, before, after):
+    """The update from before's adjacency equals after's full build."""
+    adj = _difference_adjacency(n, before)
     kept = list(adj)
-    steps, counts = _chain_steps(vmasks, candidate, r)
-    assert _moved_adjacency(adj, steps, counts, a, b) == _adjacency_from_steps(steps, counts)
+    steps, counts = _steps_and_counts(n, after)
+    moved = _moved_adjacency(adj, steps, counts, *_changed_graphs(before, after))
+    assert moved == _difference_adjacency(n, after)
     assert adj == kept
 
 
@@ -354,60 +287,47 @@ class TestMovedAdjacency:
                              ids=["single", "geometric"])
     def test_random_walks(self, n, r, moves, dist):
         masks = [g.mask for g in random_chain(n, r, dist, 3).graphs]
-        edges, first = _entry_steps(masks)
-        vmasks = [_slot_vertex_masks(n)[e] for e in edges]
-        multi_edge_steps = len(set(first)) < len(first)
+        multi_edge_steps = any((y & ~x).bit_count() > 1 for x, y in zip(masks, masks[1:]))
         rng = SplitMix64(5)
         resplits = 0
         for _ in range(moves):
             if rng.below(2):
-                candidate = _propose_resplit(first, r, rng)
+                candidate = _reference_resplit(masks, rng)
                 resplits += candidate is not None
             else:
-                candidate = _propose_swap(first, rng)
+                candidate = _reference_swap(masks, rng)
             if candidate is not None:
-                assert_moved_adjacency_matches_build(vmasks, r, first, candidate)
-                first = candidate
+                assert_moved_adjacency_matches_build(n, masks, candidate)
+                masks = candidate
         # when every step after an empty G_0 holds one edge, no resplit moves
         assert (resplits > 0) == multi_edge_steps
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_move_of_every_enumerated_chain(self, n):
-        vmasks_of = _slot_vertex_masks(n)
         for r in range(1, comb(n, 2) + 2):
             for chain in enumerate_chains(n, r):
-                edges, first = _entry_steps([g.mask for g in chain.graphs])
-                vmasks = [vmasks_of[e] for e in edges]
-                for k, step in enumerate(first):
-                    for target in (step - 1, step + 1):
-                        if 0 <= target < r and (step == 0 or first.count(step) > 1):
-                            candidate = list(first)
-                            candidate[k] = target
-                            assert_moved_adjacency_matches_build(vmasks, r, first, candidate)
-                    for k2 in range(k + 1, len(first)):
-                        candidate = list(first)
-                        candidate[k], candidate[k2] = first[k2], first[k]
-                        assert_moved_adjacency_matches_build(vmasks, r, first, candidate)
+                masks = [g.mask for g in chain.graphs]
+                bits = [1 << e for e in _bits(masks[-1])]
+                for k, bit in enumerate(bits):
+                    for direction in (-1, 1):
+                        candidate = _resplit(masks, bit, direction)
+                        if candidate is not None:
+                            assert_moved_adjacency_matches_build(n, masks, candidate)
+                    for bit2 in bits[k + 1:]:
+                        assert_moved_adjacency_matches_build(n, masks, _swap(masks, bit, bit2))
 
     def test_swap_within_one_step_returns_the_current_adjacency(self):
         n, r = 12, 40
         masks = [g.mask for g in random_chain(n, r, StepDistribution("geometric", 0.5), 1).graphs]
-        edges, first = _entry_steps(masks)
-        vmasks = [_slot_vertex_masks(n)[e] for e in edges]
-        k, k2 = next((k, k2) for k in range(len(first)) for k2 in range(k + 1, len(first))
-                     if first[k] == first[k2])
-        candidate = list(first)
-        candidate[k], candidate[k2] = first[k2], first[k]
-        a, b = _moved_graphs(first, candidate)
+        added = next(y & ~x for x, y in zip(masks, masks[1:]) if (y & ~x).bit_count() > 1)
+        low = added & -added
+        rest = added ^ low
+        candidate = _swap(masks, low, rest & -rest)
+        assert candidate == masks
+        a, b = _changed_graphs(masks, candidate)
         assert a == b
-        adj = _adjacency_from_steps(*_chain_steps(vmasks, first, r))
-        assert _moved_adjacency(adj, *_chain_steps(vmasks, candidate, r), a, b) is adj
-
-
-def chain_digest(chain):
-    """A digest of the chain's masks, independent of how a document lays them out."""
-    text = ",".join([str(chain.n), *(format(g.mask, "x") for g in chain.graphs)])
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+        adj = _difference_adjacency(n, masks)
+        assert _moved_adjacency(adj, *_steps_and_counts(n, candidate), a, b) is adj
 
 
 class TestPinnedStreams:

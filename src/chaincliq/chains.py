@@ -124,14 +124,12 @@ def random_chain(n: int, r: int, dist: StepDistribution, seed: int) -> GraphChai
     return GraphChain(n, tuple(Graph(n, mk) for mk in masks))
 
 
-def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
-    """Every chain of length exactly r on {1..n}, each once, in canonical order.
+def _chains_from(n: int, r: int, first: int) -> Iterator[GraphChain]:
+    """Every chain of length r on {1..n} whose G_1 has edge mask first, in canonical order.
 
-    Canonical order is lexicographic on the sequence of edge-bitmask
-    values. Cost is exponential in C(n, 2); intended for n <= 4.
+    The caller has checked n, r and first.
     """
-    _check_vertex_count(n)
-    m = _check_length(n, r)
+    m = comb(n, 2)
     full = (1 << m) - 1
 
     def extend(prefix: list[Graph]) -> Iterator[GraphChain]:
@@ -151,8 +149,20 @@ def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
             yield from extend(prefix)
             prefix.pop()
 
-    for first in range(full + 1):
-        yield from extend([Graph(n, first)])
+    yield from extend([Graph(n, first)])
+
+
+def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
+    """Every chain of length exactly r on {1..n}, each once, in canonical order.
+
+    Canonical order is lexicographic on the sequence of edge-bitmask
+    values, so the chains come grouped by G_1, in ascending mask order.
+    Cost is exponential in C(n, 2); intended for n <= 4.
+    """
+    _check_vertex_count(n)
+    m = _check_length(n, r)
+    for first in range(1 << m):
+        yield from _chains_from(n, r, first)
 
 
 def reverse_chain(c: GraphChain) -> GraphChain:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -41,10 +40,9 @@ DGRAPH_FORMAT = "chaincliq-dgraph-v1"
 class DifferenceGraph:
     """Symmetric, irreflexive adjacency over indices 1..r, and nothing else.
 
-    adj[i] is a bitmask over 0-based indices; r = len(adj), and left/right
-    counts, the neighbors below and above each index, are computed from adj
-    on first use. Build via build_difference_graph or difference_graph_from_edges;
-    rows that are not such a graph raise ValueError.
+    adj[i] is a bitmask over 0-based indices and r = len(adj). Build via
+    build_difference_graph or difference_graph_from_edges; rows that are
+    not such a graph raise ValueError.
     """
 
     adj: tuple[int, ...]
@@ -73,14 +71,6 @@ class DifferenceGraph:
     @property
     def r(self) -> int:
         return len(self.adj)
-
-    @cached_property
-    def left_counts(self) -> tuple[int, ...]:
-        return tuple((row & ((1 << i) - 1)).bit_count() for i, row in enumerate(self.adj))
-
-    @cached_property
-    def right_counts(self) -> tuple[int, ...]:
-        return tuple((row >> (i + 1)).bit_count() for i, row in enumerate(self.adj))
 
     def degree(self, i: int) -> int:
         self._check_index(i)
@@ -169,10 +159,18 @@ def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> Dif
     return DifferenceGraph(tuple(adj))
 
 
+def _side_counts(adj: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The neighbors below and the neighbors above each index, as two lists."""
+    left = [(row & ((1 << i) - 1)).bit_count() for i, row in enumerate(adj)]
+    right = [(row >> (i + 1)).bit_count() for i, row in enumerate(adj)]
+    return left, right
+
+
 def neighbor_counts(dg: DifferenceGraph, i: int) -> tuple[int, int]:
     """(left, right) neighbor tallies of index i."""
     dg._check_index(i)
-    return dg.left_counts[i - 1], dg.right_counts[i - 1]
+    left, right = _side_counts(dg.adj)
+    return left[i - 1], right[i - 1]
 
 
 def verify_lemma_abcd(dg: DifferenceGraph) -> tuple[int, int, int, int] | None:
@@ -214,7 +212,7 @@ def verify_lemma_123(dg: DifferenceGraph) -> tuple[int, int, int] | None:
     chains), else the index tuple (y, y+1, y+2) of the first run. Any run needs
     y >= 4 and y + 2 <= r - 3, so r <= 8 is vacuously clean.
     """
-    bad = [left >= 3 and right >= 3 for left, right in zip(dg.left_counts, dg.right_counts)]
+    bad = [left >= 3 and right >= 3 for left, right in zip(*_side_counts(dg.adj))]
     for y0 in range(dg.r - 2):
         if bad[y0] and bad[y0 + 1] and bad[y0 + 2]:
             return (y0 + 1, y0 + 2, y0 + 3)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .chains import _parse_json, _tagged
-from .derived import DifferenceGraph
+from .derived import DifferenceGraph, _side_counts
 
 WITNESS_FORMAT = "chaincliq-witness-v1"
 
@@ -99,14 +99,15 @@ def greedy_good_witness(dg: DifferenceGraph) -> WitnessSet:
     bounded side: left to right for the right class, right to left for
     the left class.
     """
-    r = dg.r
-    right_ok = [i for i, count in enumerate(dg.right_counts) if count <= 2]
-    left_ok = [i for i, count in enumerate(dg.left_counts) if count <= 2]
+    r, adj = dg.r, dg.adj
+    left, right = _side_counts(adj)
+    right_ok = [i for i, count in enumerate(right) if count <= 2]
+    left_ok = [i for i, count in enumerate(left) if count <= 2]
     order = right_ok if len(right_ok) >= len(left_ok) else list(reversed(left_ok))
     chosen_mask = 0
     chosen: list[int] = []
     for i in order:
-        if not dg.adj[i] & chosen_mask:
+        if not adj[i] & chosen_mask:
             chosen.append(i)
             chosen_mask |= 1 << i
     return _certified(

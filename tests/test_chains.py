@@ -27,7 +27,7 @@ from chaincliq import (
     write_chain,
     write_record,
 )
-from chaincliq.chains import _CHAIN_FORMAT_V1, _parse_json, _tagged
+from chaincliq.chains import _CHAIN_FORMAT_V1, _chains_from, _parse_json, _tagged
 
 from strategies import (
     MAX_SEED,
@@ -176,6 +176,12 @@ class TestEnumerateChains:
     def test_rejects_out_of_range_length(self):
         with pytest.raises(ValueError, match="exceeds"):
             list(enumerate_chains(2, 3))
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 4) for r in range(1, comb(n, 2) + 2)])
+    def test_grouped_by_first_graph(self, n, r):
+        grouped = [c for first in range(1 << comb(n, 2)) for c in _chains_from(n, r, first)]
+        assert grouped == list(enumerate_chains(n, r))
+        assert all(c.graphs[0].mask == 0 for c in _chains_from(n, r, 0))
 
 
 class TestReverseChain:

@@ -34,6 +34,7 @@ from chaincliq import (
     write_oracle_report,
     write_theorem_report,
 )
+from chaincliq.chains import _chains_from
 from chaincliq.cli import run_cli
 
 from strategies import chains, naive_max_independent_set, reference_theorem_report
@@ -165,6 +166,29 @@ class TestTheoremExhaustive:
             1 for a, b in product(range(8), repeat=2) if a != b and a & ~b == 0
         )
         assert verify_theorem_exhaustive(3, 2).chains_checked == expected_pairs
+
+    @pytest.mark.parametrize("n,r", SWEEP_CASES)
+    def test_empty_rooted_weights_count_every_chain(self, n, r):
+        # a chain of length r puts each of the m edge slots in G_1, in one of the
+        # r - 1 steps, or outside G_r, and every step gets a slot; inclusion-exclusion
+        # over the j steps left empty
+        m = comb(n, 2)
+        total = sum((-1) ** j * comb(r - 1, j) * (r + 1 - j) ** m for j in range(r))
+        weights = [1 << (m - c.graphs[-1].mask.bit_count()) for c in _chains_from(n, r, 0)]
+        assert sum(weights) == total
+        assert verify_theorem_exhaustive(n, r).chains_checked == total
+
+    def test_single_graph_chains_at_the_top_of_the_range(self):
+        report = verify_theorem_exhaustive(64, 1)
+        assert report.chains_checked == 2**2016
+        assert report.min_alpha == 1
+        assert report.argmin_chain.graphs[0].mask == 0
+
+    def test_five_vertices_length_two(self):
+        report = verify_theorem_exhaustive(5, 2)
+        assert report.chains_checked == 3**10 - 2**10 == 58025
+        assert report.min_alpha == 1
+        assert report.bound_ok
 
     @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4)])
     def test_bound_holds_on_small_cases(self, n, r):

@@ -30,7 +30,7 @@ for n in (2, 3, 4):
         dt = time.perf_counter() - t0
         print(
             f"{n:>3} {r:>3} {report.chains_checked:>8} {report.min_alpha:>10} "
-            f"{int(alon_guarantee(r)):>6} {str(report.bound_ok):>4} {dt:>6.2f}"
+            f"{alon_guarantee(r):>6} {str(report.bound_ok):>4} {dt:>6.2f}"
         )
 
 report = verify_theorem_exhaustive(3, 4)

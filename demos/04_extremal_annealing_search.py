@@ -2,7 +2,7 @@
 
 The proven floor says alpha/r >= max(1, ceil(floor(r/3)/2))/r, roughly
 1/6, but nobody knows how close real chains can get. This script runs
-seeded annealing over swaps of two edges' entry steps with the exact
+a seeded descent over swaps of two edges' entry steps with the exact
 solver as the objective, persists the results as line-delimited JSON
 records, and reloads them with full re-verification.
 """
@@ -24,7 +24,7 @@ from chaincliq import (
 
 N, R, BUDGET = 6, 9, 4_000
 print("=" * 72)
-print(f"Annealing over chains with n={N}, r={R}, budget={BUDGET} per seed")
+print(f"Seeded descent over chains with n={N}, r={R}, budget={BUDGET} per seed")
 print(f"proven floor on the ratio: {Fraction(alon_guarantee(R), R)}")
 print("=" * 72)
 

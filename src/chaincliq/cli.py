@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="vertex count (at most 4)")
     common(p)
 
-    p = sub.add_parser("search", help="anneal for chains with a small independence ratio")
+    p = sub.add_parser("search", help="seeded descent for chains with a small independence ratio")
     p.add_argument("--n", type=int, required=True, help="vertex count")
     p.add_argument("--r", type=int, required=True, help="chain length")
     p.add_argument("--budget", type=int, default=10_000, help="move proposals, rejected ones included (default 10000)")

@@ -4,7 +4,7 @@ Edges are unordered pairs (u, v) normalized to u < v. Each pair is mapped
 to the bit position given by its rank in the lexicographic listing of all
 C(n, 2) pairs, so whole-set algebra (difference, intersection, the clique
 test) runs as single integer operations. The exhaustive oracles and the
-annealing loop are built on exactly these operations.
+seeded descent are built on exactly these operations.
 
 Supported vertex counts stop at MAX_VERTICES (C(64, 2) = 2016 edge slots);
 past that the constructors refuse loudly rather than degrade.

@@ -1,4 +1,4 @@
-"""Simulated-annealing search for chains with a small independence ratio.
+"""Seeded-descent search for chains with a small independence ratio.
 
 The objective of a chain is alpha/r where alpha is the exact independence
 number of its difference graph; witness sizes are only lower bounds and
@@ -13,8 +13,10 @@ in place. A swap of steps a < b changes G_a..G_(b-1), each by the same
 edit, so a candidate's difference graph is the current one with only the
 pairs that have one index in [a, b) tested again (_moved_adjacency). The
 exact solver runs only when that graph differs from the current state's,
-since alpha depends on the graph alone. Alpha is invariant under vertex
-permutations, so no move relabels.
+since alpha depends on the graph alone. A candidate is accepted iff its
+alpha is at most the current one, so the current alpha never rises and the
+record keeps the chain of the last strict improvement. Alpha is invariant
+under vertex permutations, so no move relabels.
 
 Half the proposals are resplits, which would move one edge's entry step
 to an adjacent step. That always empties a one-edge step and breaks
@@ -29,7 +31,6 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -55,13 +56,10 @@ RECORD_FORMAT = "chaincliq-record-v1"
 
 _NO_RECORDS = "the records file holds no records"
 
-_INITIAL_TEMPERATURE = 0.25
-_DECAY = 0.9995
-
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Full description of one annealing run; two equal configs replay identically."""
+    """Full description of one seeded-descent run; two equal configs replay identically."""
 
     n: int
     r: int
@@ -149,7 +147,7 @@ def _moved_adjacency(
 
 
 def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> SearchRecord:
-    """Anneal from a seeded random chain, returning the best record seen.
+    """Seeded descent from a random chain, returning the best record seen.
 
     The timestamp is pure metadata; pass one explicitly to make the whole
     record a deterministic function of the inputs.
@@ -164,10 +162,9 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     counts = list(range(cfg.r))
     current_adj = _adjacency_from_steps(steps, counts)
     current_alpha = _mis_bitset(current_adj)[0]
-    best_alpha = current_alpha
     best_first = list(first)
     accepted = 0
-    for step in range(cfg.budget):
+    for _ in range(cfg.budget):
         if rng.uniform() < 0.5:
             if edges:
                 # A resplit would empty a one-edge step, so it never moves; its
@@ -185,33 +182,25 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
         steps[a], steps[b] = steps[b], steps[a]
         adj = _moved_adjacency(current_adj, steps, counts, a, b)
         alpha = current_alpha if adj == current_adj else _mis_bitset(adj)[0]
-        delta = alpha - current_alpha
-        if delta <= 0:
-            accept = True
-        else:
-            temperature = max(_INITIAL_TEMPERATURE * _DECAY**step, 1e-12)
-            accept = rng.uniform() < math.exp(-(delta / cfg.r) / temperature)
-        if accept:
-            first[i], first[j] = first[j], first[i]
-            current_adj = adj
-            current_alpha = alpha
-            accepted += 1
-        else:
+        if alpha > current_alpha:
             steps[a], steps[b] = steps[b], steps[a]
-        if alpha < best_alpha:  # best <= current, so an improvement was just accepted
-            best_alpha = alpha
+            continue
+        first[i], first[j] = first[j], first[i]
+        if alpha < current_alpha:
             best_first = list(first)
+        current_adj = adj
+        current_alpha = alpha
+        accepted += 1
     best_masks = _chain_masks(edges, best_first, cfg.r)
     chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mk) for mk in best_masks))
-    ratio = Fraction(best_alpha, cfg.r)
-    if ratio < Fraction(alon_guarantee(cfg.r), cfg.r):
+    if current_alpha < alon_guarantee(cfg.r):
         raise AssertionError("search produced a ratio below the proven floor")
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     return SearchRecord(
         chain=chain,
-        alpha=best_alpha,
-        ratio=ratio,
+        alpha=current_alpha,
+        ratio=Fraction(current_alpha, cfg.r),
         seed=cfg.seed,
         budget=cfg.budget,
         move_trace_length=accepted,

@@ -31,9 +31,7 @@ undersized set.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .chains import _parse_json, _tagged
@@ -43,8 +41,6 @@ WITNESS_FORMAT = "chaincliq-witness-v1"
 
 METHODS = ("greedy-good", "alon-triples", "singleton-fallback")
 
-_DIGIT_FRACTION = re.compile(r"[0-9]+(?:/[0-9]+)?")
-
 
 @dataclass(frozen=True)
 class WitnessSet:
@@ -52,17 +48,17 @@ class WitnessSet:
 
     indices: frozenset[int]
     method: str
-    guarantee: Fraction
+    guarantee: int
 
 
-def greedy_guarantee(r: int) -> Fraction:
+def greedy_guarantee(r: int) -> int:
     """Size floor of the greedy witness: max(1, ceil((r-2)/18))."""
-    return Fraction(max(1, -((2 - r) // 18)))
+    return max(1, -((2 - r) // 18))
 
 
-def alon_guarantee(r: int) -> Fraction:
+def alon_guarantee(r: int) -> int:
     """Size floor of the triple witness: max(1, ceil(floor(r/3)/2))."""
-    return Fraction(max(1, (r // 3 + 1) // 2))
+    return max(1, (r // 3 + 1) // 2)
 
 
 def check_independent(dg: DifferenceGraph, indices: Iterable[int]) -> bool:
@@ -79,7 +75,7 @@ def check_independent(dg: DifferenceGraph, indices: Iterable[int]) -> bool:
 
 
 def _certified(dg: DifferenceGraph, indices: frozenset[int], method: str,
-               guarantee: Fraction) -> WitnessSet:
+               guarantee: int) -> WitnessSet:
     if not check_independent(dg, indices):
         raise ValueError(f"{method} witness failed independence certification")
     if len(indices) < guarantee:
@@ -207,12 +203,12 @@ def read_witness(text: str) -> WitnessSet:
     if len(indices) != len(raw):
         raise ValueError("field 'indices' contains duplicates")
     spelled = doc.get("guarantee")
-    try:  # only the digit forms str(Fraction) writes: an exponent would be expanded in full
-        guarantee = Fraction(spelled) if _DIGIT_FRACTION.fullmatch(spelled) else None
-    except (TypeError, ValueError, ZeroDivisionError):
+    try:
+        guarantee = int(spelled) if isinstance(spelled, str) else None
+    except ValueError:
         guarantee = None
-    if guarantee is None or str(guarantee) != spelled:
-        raise ValueError("field 'guarantee' must be an exact rational string")
+    if guarantee is None or str(guarantee) != spelled:  # only the spelling str(int) writes
+        raise ValueError("field 'guarantee' must be a canonical integer string")
     if not 1 <= guarantee <= len(indices):
         raise ValueError(f"field 'guarantee' {spelled} is outside [1, {len(indices)}]")
     return WitnessSet(indices, method, guarantee)

@@ -152,7 +152,9 @@ class TestPinnedInputs:
             load_records(path)
 
     # the sample witness holds four indices, so "0" and "5" are canonical but out of range
-    @pytest.mark.parametrize("value", ["2/4", "4/2", "01", "1.5", "-1", " 1", 1, "0", "5"])
+    @pytest.mark.parametrize(
+        "value", ["2/4", "4/2", "3/2", "01", "\u0661", "1.5", "-1", " 1", 1, "0", "5"]
+    )
     def test_noncanonical_guarantee_is_rejected(self, value):
         with pytest.raises(ValueError, match="field 'guarantee'"):
             read_witness(sample_with("witness", "guarantee", value))

@@ -15,7 +15,7 @@ MODULES = ("graphs", "chains", "derived", "witness", "oracle", "search", "rng")
 
 def public_definitions(module):
     """Top-level classes, functions and assignments without a leading underscore."""
-    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):

@@ -35,9 +35,9 @@ print("=" * 72)
 chain = GraphChain(
     3,
     (
-        make_graph(3, [(1, 2)]),
-        make_graph(3, [(1, 2), (1, 3)]),
-        make_graph(3, [(1, 2), (1, 3), (2, 3)]),
+        make_graph(3, [(1, 2)]).mask,
+        make_graph(3, [(1, 2), (1, 3)]).mask,
+        make_graph(3, [(1, 2), (1, 3), (2, 3)]).mask,
     ),
 )
 for i, g in enumerate(chain.graphs, 1):

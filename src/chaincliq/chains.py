@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from numbers import Real
 from typing import Iterator, Sequence
@@ -55,33 +56,42 @@ SINGLE_STEP = StepDistribution("single")
 
 @dataclass(frozen=True)
 class GraphChain:
-    """A strictly nested sequence of distinct graphs on {1..n}.
+    """A strictly nested sequence of distinct graphs on {1..n}, held as edge masks.
 
-    Construction checks nesting, distinctness and vertex counts.
-    Strictness between consecutive graphs is what bounds the length by
-    C(n, 2) + 1, so no separate length check is needed.
+    masks[k] is the edge mask of G_(k+1), as in Graph.mask. Construction
+    checks the vertex count, that each mask is an int in [0, 2^C(n, 2)),
+    and nesting and distinctness. Strictness between consecutive graphs
+    is what bounds the length by C(n, 2) + 1, so no separate length check
+    is needed. `graphs` is the same chain as Graph values, built on its
+    first read and then kept.
     """
 
     n: int
-    graphs: tuple[Graph, ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        graphs = self.graphs
-        if not graphs:
+        masks = self.masks
+        if not masks:
             raise ValueError("chain must contain at least one graph")
-        for g in graphs:
-            if g.n != self.n:
-                raise ValueError(f"mismatched vertex counts: chain has n={self.n}, graph has n={g.n}")
-        for k in range(len(graphs) - 1):
-            a, b = graphs[k].mask, graphs[k + 1].mask
+        _check_vertex_count(self.n)
+        bound = 1 << comb(self.n, 2)
+        for mask in masks:
+            if type(mask) is not int or not 0 <= mask < bound:  # rejects bool
+                raise ValueError(f"edge mask {mask!r} out of range for n={self.n}")
+        for k in range(len(masks) - 1):
+            a, b = masks[k], masks[k + 1]
             if a == b:
                 raise ValueError(f"graphs {k + 1} and {k + 2} are equal (distinctness violation)")
             if a & ~b:
                 raise ValueError(f"graphs {k + 1} and {k + 2} are not nested")
 
+    @cached_property
+    def graphs(self) -> tuple[Graph, ...]:
+        return tuple(Graph(self.n, mask) for mask in self.masks)
+
     @property
     def r(self) -> int:
-        return len(self.graphs)
+        return len(self.masks)
 
 
 def _check_length(n: int, r: int) -> int:
@@ -121,7 +131,7 @@ def random_chain(n: int, r: int, dist: StepDistribution, seed: int) -> GraphChai
             slot = free.pop(rng.below(len(free)))
             mask |= 1 << slot
         masks.append(mask)
-    return GraphChain(n, tuple(Graph(n, mk) for mk in masks))
+    return GraphChain(n, tuple(masks))
 
 
 def _chains_from(n: int, r: int, first: int) -> Iterator[GraphChain]:
@@ -132,11 +142,11 @@ def _chains_from(n: int, r: int, first: int) -> Iterator[GraphChain]:
     m = comb(n, 2)
     full = (1 << m) - 1
 
-    def extend(prefix: list[Graph]) -> Iterator[GraphChain]:
+    def extend(prefix: list[int]) -> Iterator[GraphChain]:
         if len(prefix) == r:
             yield GraphChain(n, tuple(prefix))
             return
-        last = prefix[-1].mask
+        last = prefix[-1]
         if r - len(prefix) > m - last.bit_count():
             return
         comp = full & ~last
@@ -145,11 +155,11 @@ def _chains_from(n: int, r: int, first: int) -> Iterator[GraphChain]:
             y = (y - comp) & comp
             if y == 0:
                 return
-            prefix.append(Graph(n, last | y))
+            prefix.append(last | y)
             yield from extend(prefix)
             prefix.pop()
 
-    yield from extend([Graph(n, first)])
+    yield from extend([first])
 
 
 def enumerate_chains(n: int, r: int) -> Iterator[GraphChain]:
@@ -174,9 +184,8 @@ def reverse_chain(c: GraphChain) -> GraphChain:
     original's. Chains that start empty are fixed points of the double
     reversal.
     """
-    top = c.graphs[-1].mask
-    masks = [top & ~c.graphs[c.r - 1 - i].mask for i in range(c.r)]
-    return GraphChain(c.n, tuple(Graph(c.n, mk) for mk in masks))
+    top = c.masks[-1]
+    return GraphChain(c.n, tuple([top & ~mask for mask in reversed(c.masks)]))
 
 
 def relabel_chain(c: GraphChain, perm: Sequence[int]) -> GraphChain:
@@ -191,23 +200,21 @@ def relabel_chain(c: GraphChain, perm: Sequence[int]) -> GraphChain:
         if pu > pv:
             pu, pv = pv, pu
         slot_map.append(index[(pu, pv)])
-    graphs = []
-    for g in c.graphs:
+    masks = []
+    for old in c.masks:
         mask = 0
-        for b in _bits(g.mask):
+        for b in _bits(old):
             mask |= 1 << slot_map[b]
-        graphs.append(Graph(c.n, mask))
-    return GraphChain(c.n, tuple(graphs))
+        masks.append(mask)
+    return GraphChain(c.n, tuple(masks))
 
 
 def _chain_doc(c: GraphChain) -> dict:
     pairs = _slot_pairs(c.n)
-    prev = c.graphs[0].mask
-    steps = []
-    for g in c.graphs[1:]:
-        steps.append([pairs[b] for b in _bits(g.mask & ~prev)])  # pair tuples, no new list per edge
-        prev = g.mask
-    return {"format": CHAIN_FORMAT, "n": c.n, "first": c.graphs[0].sorted_edges(), "steps": steps}
+    masks = c.masks
+    steps = [[pairs[b] for b in _bits(mask & ~prev)]  # pair tuples, no new list per edge
+             for prev, mask in zip(masks, masks[1:])]
+    return {"format": CHAIN_FORMAT, "n": c.n, "first": [pairs[b] for b in _bits(masks[0])], "steps": steps}
 
 
 def _parse_json(text: str) -> object:
@@ -256,7 +263,7 @@ def _chain_from_doc(doc: object) -> GraphChain:
     except ValueError as exc:
         raise ValueError(f"graph 1: {exc}") from None
     index = _slot_index(n)  # keys are exactly the edges [u, v] with 1 <= u < v <= n
-    graphs = []
+    masks = []
     mask = 0
     for gi, entry in enumerate(entries, 1):
         if not isinstance(entry, list):
@@ -275,8 +282,8 @@ def _chain_from_doc(doc: object) -> GraphChain:
             if mask >> slot & 1:
                 raise ValueError(f"graph {gi}: duplicate edge ({u}, {v})")
             mask |= 1 << slot
-        graphs.append(Graph(n, mask))
-    return GraphChain(n, tuple(graphs))
+        masks.append(mask)
+    return GraphChain(n, tuple(masks))
 
 
 def write_chain(c: GraphChain) -> str:

@@ -78,7 +78,14 @@ class DifferenceGraph:
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         """All edges as 1-based (i, j) pairs with i < j, lexicographically sorted."""
-        return tuple([(i, i + j + 1) for i, row in enumerate(self.adj, 1) for j in _bits(row >> i)])
+        pairs = []
+        for i, row in enumerate(self.adj, 1):
+            above = row >> i  # bit j stands for index i + j + 1
+            while above:
+                low = above & -above
+                pairs.append((i, i + low.bit_length()))
+                above ^= low
+        return tuple(pairs)
 
     def _check_index(self, i: int) -> None:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(self.adj):
@@ -133,7 +140,7 @@ def build_difference_graph(c: GraphChain) -> DifferenceGraph:
     Built from the vertex support and edge count of each step in O(r^2)
     word operations, without walking any edge mask per pair.
     """
-    return DifferenceGraph(tuple(_difference_adjacency(c.n, [g.mask for g in c.graphs])))
+    return DifferenceGraph(tuple(_difference_adjacency(c.n, c.masks)))
 
 
 def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> DifferenceGraph:
@@ -226,10 +233,14 @@ def find_triangle(dg: DifferenceGraph) -> tuple[int, int, int] | None:
     """
     adj = dg.adj
     for i, row in enumerate(adj):
-        for j in _bits(row >> (i + 1) << (i + 1)):
+        above = row >> (i + 1) << (i + 1)
+        while above:
+            low = above & -above
+            j = low.bit_length() - 1
             common = row & adj[j] >> (j + 1) << (j + 1)
             if common:
-                return (i + 1, j + 1, next(_bits(common)) + 1)
+                return (i + 1, j + 1, (common & -common).bit_length())
+            above ^= low
     return None
 
 

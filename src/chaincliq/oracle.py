@@ -214,7 +214,7 @@ def verify_theorem_exhaustive(n: int, r: int) -> TheoremReport:
     argmin_chain: GraphChain | None = None
     alphas: dict[tuple[int, ...], int] = {}
     for chain in _chains_from(n, r, 0):
-        masks = [g.mask for g in chain.graphs]
+        masks = chain.masks
         adj = tuple(_difference_adjacency(n, masks))
         alpha = alphas.get(adj)
         if alpha is None:

@@ -31,8 +31,8 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
@@ -47,7 +47,7 @@ from .chains import (
     random_chain,
 )
 from .derived import _adjacency_from_steps, build_difference_graph
-from .graphs import Graph, _TRIANGLE_SIDE, _slot_vertex_masks
+from .graphs import _TRIANGLE_SIDE, _slot_vertex_masks
 from .oracle import _mis_bitset, max_independent_set
 from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
@@ -153,7 +153,7 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     record a deterministic function of the inputs.
     """
     rng = SplitMix64(cfg.seed)
-    masks = [g.mask for g in random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).graphs]
+    masks = random_chain(cfg.n, cfg.r, SINGLE_STEP, rng.next_u64()).masks
     entering = [(masks[s] & ~masks[s - 1]).bit_length() - 1 for s in range(1, cfg.r)]
     first = sorted(range(1, cfg.r), key=lambda s: entering[s - 1])  # in slot order
     edges = [entering[s - 1] for s in first]
@@ -191,12 +191,11 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
         current_adj = adj
         current_alpha = alpha
         accepted += 1
-    best_masks = _chain_masks(edges, best_first, cfg.r)
-    chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mk) for mk in best_masks))
+    chain = GraphChain(cfg.n, tuple(_chain_masks(edges, best_first, cfg.r)))
     if current_alpha < alon_guarantee(cfg.r):
         raise AssertionError("search produced a ratio below the proven floor")
     if timestamp is None:
-        timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return SearchRecord(
         chain=chain,
         alpha=current_alpha,

@@ -52,7 +52,7 @@ def suffix_chains(draw, **kwargs):
     """A generated chain with a drawn prefix dropped, so G_1 need not be empty."""
     chain = draw(chains(**kwargs))
     start = draw(st.integers(min_value=0, max_value=chain.r - 1))
-    return GraphChain(chain.n, chain.graphs[start:])
+    return GraphChain(chain.n, chain.masks[start:])
 
 
 def v1_chain_doc(chain):

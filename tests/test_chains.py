@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chaincliq import (
     CHAIN_FORMAT,
+    Graph,
     GraphChain,
     SINGLE_STEP,
     SearchConfig,
@@ -46,26 +47,31 @@ def masks_of(chain):
     return tuple(g.mask for g in chain.graphs)
 
 
+def edge_masks(n, *edge_lists):
+    """The edge mask of make_graph(n, edges) for each edge list."""
+    return tuple(make_graph(n, edges).mask for edges in edge_lists)
+
+
 class TestValidateChain:
     """A GraphChain validates itself: nested, distinct graphs on n vertices, at least one."""
 
     def test_accepts_nested_distinct_sequence(self):
-        graphs = (make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)]))
-        chain = GraphChain(3, graphs)
+        chain = GraphChain(3, edge_masks(3, [], [(1, 2)], [(1, 2), (1, 3)]))
         assert chain.r == 3
 
     def test_rejects_equal_consecutive_graphs(self):
-        g = make_graph(3, [(1, 2)])
+        g = make_graph(3, [(1, 2)]).mask
         with pytest.raises(ValueError, match="distinctness"):
             GraphChain(3, (g, g))
 
     def test_rejects_non_nested_pair(self):
         with pytest.raises(ValueError, match="not nested"):
-            GraphChain(3, (make_graph(3, [(1, 2)]), make_graph(3, [(1, 3)])))
+            GraphChain(3, edge_masks(3, [(1, 2)], [(1, 3)]))
 
     def test_rejects_mismatched_n(self):
-        with pytest.raises(ValueError, match="mismatched"):
-            GraphChain(3, (make_graph(4, []),))
+        # a mask is read at the chain's n, so one using a slot past C(3, 2) is refused
+        with pytest.raises(ValueError, match=r"edge mask 32 out of range for n=3"):
+            GraphChain(3, edge_masks(4, [(3, 4)]))
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -76,18 +82,94 @@ class TestGraphChainConstructor:
     """Faults past the first pair of graphs are named with their positions."""
 
     def test_rejects_non_nested_pair(self):
-        graphs = (make_graph(3, [(1, 2), (1, 3)]), make_graph(3, [(2, 3)]))
         with pytest.raises(ValueError, match="graphs 1 and 2 are not nested"):
-            GraphChain(3, graphs)
+            GraphChain(3, edge_masks(3, [(1, 2), (1, 3)], [(2, 3)]))
 
     def test_rejects_equal_graphs(self):
-        g = make_graph(3, [(1, 2)])
-        with pytest.raises(ValueError, match="distinctness"):
-            GraphChain(3, (make_graph(3, []), g, g))
+        with pytest.raises(ValueError, match="graphs 2 and 3 are equal"):
+            GraphChain(3, edge_masks(3, [], [(1, 2)], [(1, 2)]))
 
     def test_rejects_mismatched_n(self):
-        with pytest.raises(ValueError, match="chain has n=3, graph has n=4"):
-            GraphChain(3, (make_graph(3, []), make_graph(4, [(1, 2)])))
+        with pytest.raises(ValueError, match=r"edge mask 16 out of range for n=3"):
+            GraphChain(3, (0, make_graph(4, [(2, 4)]).mask))
+
+
+def reference_graphs(n, masks):
+    """The construction before chains held masks: a Graph per mask, then the nesting checks."""
+    graphs = tuple(Graph(n, mask) for mask in masks)
+    if not graphs:
+        raise ValueError("chain must contain at least one graph")
+    for k in range(len(graphs) - 1):
+        a, b = graphs[k].mask, graphs[k + 1].mask
+        if a == b:
+            raise ValueError(f"graphs {k + 1} and {k + 2} are equal (distinctness violation)")
+        if a & ~b:
+            raise ValueError(f"graphs {k + 1} and {k + 2} are not nested")
+    return graphs
+
+
+@st.composite
+def mask_tuples(draw):
+    """(n, masks): the masks of a nested chain, then zero to three corruptions."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = comb(n, 2)
+    order = draw(st.permutations(range(m)))
+    prefixes = [0]
+    for slot in order:
+        prefixes.append(prefixes[-1] | 1 << slot)
+    picks = draw(st.lists(st.integers(0, m), min_size=1, max_size=m + 1, unique=True))
+    masks = [prefixes[i] for i in sorted(picks)]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["type", "negative", "large", "equal", "swap", "flip", "empty", "n"]))
+        k = draw(st.integers(0, max(len(masks) - 1, 0)))
+        if kind == "empty":
+            masks = []
+        elif kind == "n":
+            n = draw(st.sampled_from([0, -1, 65, True, False, 3.0, "3", None]))
+        elif not masks:
+            continue
+        elif kind == "type":
+            masks[k] = draw(st.sampled_from([True, False, 1.0, "1", None, Graph(2, 0)]))
+        elif kind == "negative":
+            masks[k] = -draw(st.integers(1, 1 << (m + 1)))
+        elif kind == "large":
+            masks[k] = (1 << m) + draw(st.integers(0, 1 << (m + 1)))
+        elif kind == "equal":
+            masks.insert(k, masks[k])
+        elif kind == "swap":
+            masks[k - 1], masks[k] = masks[k], masks[k - 1]
+        elif isinstance(masks[k], int):
+            masks[k] ^= 1 << draw(st.integers(0, m))
+    return n, tuple(masks)
+
+
+class TestMasksMatchGraphConstruction:
+    """GraphChain(n, masks) refuses exactly what a Graph per mask plus the nesting checks refused."""
+
+    @settings(max_examples=400)
+    @given(mask_tuples())
+    def test_same_outcome_and_message(self, case):
+        n, masks = case
+        try:
+            expected = reference_graphs(n, masks)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                GraphChain(n, masks)
+            assert str(raised.value) == str(exc)
+            return
+        chain = GraphChain(n, masks)
+        assert chain.graphs == expected
+        assert chain.r == len(expected)
+
+    @given(chains())
+    def test_graphs_view_is_built_once(self, chain):
+        assert chain.graphs is chain.graphs
+        assert tuple(g.mask for g in chain.graphs) == chain.masks
+
+    def test_equality_ignores_the_graphs_view(self):
+        a, b = random_chain(4, 5, SINGLE_STEP, 8), random_chain(4, 5, SINGLE_STEP, 8)
+        a.graphs  # fills a's cache only
+        assert a == b and hash(a) == hash(b)
 
 
 class TestRandomChain:
@@ -140,7 +222,7 @@ class TestRandomChain:
 
     @given(chains())
     def test_generated_chains_revalidate(self, chain):
-        assert GraphChain(chain.n, chain.graphs) == chain
+        assert GraphChain(chain.n, chain.masks) == chain
 
     @given(st.integers(min_value=0, max_value=MAX_SEED), step_distributions())
     def test_bit_identical_across_runs(self, seed, dist):
@@ -171,7 +253,7 @@ class TestEnumerateChains:
         assert seen == sorted(seen)
         assert len(seen) == len(set(seen))
         for c in enumerate_chains(3, 3):
-            GraphChain(c.n, c.graphs)
+            GraphChain(c.n, c.masks)
 
     def test_rejects_out_of_range_length(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -186,13 +268,11 @@ class TestEnumerateChains:
 
 class TestReverseChain:
     def test_two_element_chain_is_self_mirror(self):
-        chain = GraphChain(2, (make_graph(2, []), make_graph(2, [(1, 2)])))
+        chain = GraphChain(2, (0, 1))
         assert reverse_chain(chain) == chain
 
     def test_forced_small_example(self):
-        chain = GraphChain(
-            3, (make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)]))
-        )
+        chain = GraphChain(3, edge_masks(3, [], [(1, 2)], [(1, 2), (1, 3)]))
         mirrored = reverse_chain(chain)
         assert [g.edges for g in mirrored.graphs] == [
             frozenset(),
@@ -212,7 +292,7 @@ class TestRelabelChain:
         assert relabel_chain(chain, [1, 2, 3, 4]) == chain
 
     def test_swap_permutation(self):
-        chain = GraphChain(3, (make_graph(3, []), make_graph(3, [(1, 2)])))
+        chain = GraphChain(3, edge_masks(3, [], [(1, 2)]))
         relabeled = relabel_chain(chain, [3, 2, 1])
         assert relabeled.graphs[1].edges == {(2, 3)}
         assert relabel_chain(chain, (3, 2, 1)) == relabeled
@@ -233,9 +313,7 @@ class TestRelabelChain:
 
 class TestChainSerialization:
     def test_written_document_shape(self):
-        chain = GraphChain(
-            3, (make_graph(3, []), make_graph(3, [(1, 2)]), make_graph(3, [(1, 2), (1, 3)]))
-        )
+        chain = GraphChain(3, edge_masks(3, [], [(1, 2)], [(1, 2), (1, 3)]))
         text = write_chain(chain)
         assert text == (
             '{"format": "chaincliq-chain-v2", "n": 3, '
@@ -313,7 +391,7 @@ def two_pass_read_chain(text):
             graphs.append(make_graph(n, pairs))
         except ValueError as exc:
             raise ValueError(f"graph {gi}: {exc}") from None
-    return GraphChain(n, tuple(graphs))
+    return GraphChain(n, tuple(g.mask for g in graphs))
 
 
 def cumulative_read_chain(text):
@@ -333,7 +411,7 @@ def cumulative_read_chain(text):
                 raise ValueError("must satisfy u < v")
         edges = edges + [tuple(e) for e in entry]
         graphs.append(make_graph(doc.get("n"), edges))  # an edge of an earlier step collides here
-    return GraphChain(doc["n"], tuple(graphs))
+    return GraphChain(doc["n"], tuple(g.mask for g in graphs))
 
 
 def chain_text(n=3, last_edge=None):

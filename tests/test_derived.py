@@ -95,9 +95,9 @@ def path_example():
     return GraphChain(
         3,
         (
-            make_graph(3, [(1, 2)]),
-            make_graph(3, [(1, 2), (1, 3)]),
-            make_graph(3, [(1, 2), (1, 3), (2, 3)]),
+            make_graph(3, [(1, 2)]).mask,
+            make_graph(3, [(1, 2), (1, 3)]).mask,
+            make_graph(3, [(1, 2), (1, 3), (2, 3)]).mask,
         ),
     )
 
@@ -110,11 +110,11 @@ class TestBuildDifferenceGraph:
         assert difference_edges_by_definition(chain) == {(1, 2), (2, 3)}
 
     def test_two_step_chain_gives_one_edge(self):
-        chain = GraphChain(2, (make_graph(2, []), make_graph(2, [(1, 2)])))
+        chain = GraphChain(2, (0, make_graph(2, [(1, 2)]).mask))
         assert build_difference_graph(chain).edge_pairs() == ((1, 2),)
 
     def test_length_one_chain_is_edgeless(self):
-        chain = GraphChain(3, (make_graph(3, [(1, 2)]),))
+        chain = GraphChain(3, (make_graph(3, [(1, 2)]).mask,))
         dg = build_difference_graph(chain)
         assert dg.r == 1 and dg.edge_pairs() == ()
 

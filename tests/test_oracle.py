@@ -60,7 +60,7 @@ def gadget_chain(blocks):
         for u, v in GADGET_ORDER:
             edges.append((5 * k + u, 5 * k + v))
             graphs.append(make_graph(n, edges))
-    return GraphChain(n, tuple(graphs))
+    return GraphChain(n, tuple(g.mask for g in graphs))
 
 
 class TestMaxIndependentSet:
@@ -74,7 +74,7 @@ class TestMaxIndependentSet:
         assert report.alpha == 5 and report.optimum == {1, 2, 3, 4, 5}
 
     def test_single_edge_graph(self):
-        chain = GraphChain(2, (make_graph(2, []), make_graph(2, [(1, 2)])))
+        chain = GraphChain(2, (0, make_graph(2, [(1, 2)]).mask))
         dg = build_difference_graph(chain)
         assert max_independent_set(dg).alpha == 1
 
@@ -215,11 +215,11 @@ class TestTheoremExhaustive:
     def test_argmin_is_the_smallest_chain_of_minimum_alpha(self, n, r):
         report = verify_theorem_exhaustive(n, r)
         minimal = [
-            tuple(g.mask for g in c.graphs)
+            c.masks
             for c in enumerate_chains(n, r)
             if max_independent_set(build_difference_graph(c)).alpha == report.min_alpha
         ]
-        assert tuple(g.mask for g in report.argmin_chain.graphs) == min(minimal)
+        assert report.argmin_chain.masks == min(minimal)
 
 
 CHECK_NAMES = [

@@ -1,6 +1,9 @@
 """Seeded-descent search determinism, records persistence, and invariants."""
 
+import calendar
 import json
+import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincliq import (
-    Graph,
     GraphChain,
     SearchConfig,
     SearchRecord,
@@ -119,7 +121,7 @@ def reference_search(cfg, timestamp):
         if alpha <= current_alpha:
             masks, current_alpha = candidate, alpha
             accepted += 1
-    chain = GraphChain(cfg.n, tuple(Graph(cfg.n, mask) for mask in best))
+    chain = GraphChain(cfg.n, tuple(best))
     return SearchRecord(chain, best_alpha, Fraction(best_alpha, cfg.r), cfg.seed, cfg.budget,
                         accepted, timestamp)
 
@@ -171,6 +173,13 @@ class TestLocalSearch:
     def test_timestamp_defaults_to_utc_now(self):
         record = local_search_min_ratio(SearchConfig(n=3, r=2, budget=5, seed=0))
         assert record.timestamp.endswith("Z") and "T" in record.timestamp
+
+    def test_default_timestamp_is_utc_to_the_second(self):
+        before = int(time.time())
+        stamp = local_search_min_ratio(SearchConfig(n=3, r=2, budget=5, seed=0)).timestamp
+        after = int(time.time())
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+        assert before <= calendar.timegm(time.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ")) <= after
 
     @pytest.mark.parametrize("seed", [-3, 2**64 + 5])
     def test_out_of_range_seed_is_a_value_error(self, seed):

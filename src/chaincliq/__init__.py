@@ -6,142 +6,15 @@ with proven size floors, compare them against exact exhaustive oracles,
 and search for chains with a small independence ratio.
 """
 
-from .chains import (
-    CHAIN_FORMAT,
-    GraphChain,
-    SINGLE_STEP,
-    StepDistribution,
-    enumerate_chains,
-    random_chain,
-    read_chain,
-    relabel_chain,
-    reverse_chain,
-    write_chain,
-)
-from .derived import (
-    DGRAPH_FORMAT,
-    DifferenceGraph,
-    build_difference_graph,
-    difference_graph_from_edges,
-    find_triangle,
-    neighbor_counts,
-    read_difference_graph,
-    verify_lemma_123,
-    verify_lemma_abcd,
-    write_difference_graph,
-)
-from .graphs import (
-    Graph,
-    MAX_VERTICES,
-    edge_difference,
-    is_clique,
-    is_subgraph,
-    make_graph,
-)
-from .oracle import (
-    FAMILY_CUTOFF,
-    FAMILY_FORMAT,
-    FamilyReport,
-    ORACLE_FORMAT,
-    OracleReport,
-    THEOREM_FORMAT,
-    TheoremReport,
-    certify_difference_graph,
-    family_has_clique_pair,
-    max_cliquepair_free_family,
-    max_independent_set,
-    verify_theorem_exhaustive,
-    write_family_report,
-    write_oracle_report,
-    write_theorem_report,
-)
-from .rng import SplitMix64
-from .search import (
-    RECORD_FORMAT,
-    SearchConfig,
-    SearchRecord,
-    append_record,
-    load_records,
-    local_search_min_ratio,
-    write_record,
-)
-from .witness import (
-    METHODS,
-    WITNESS_FORMAT,
-    WitnessSet,
-    alon_guarantee,
-    alon_witness,
-    best_witness,
-    check_independent,
-    greedy_good_witness,
-    greedy_guarantee,
-    read_witness,
-    select_triples,
-    write_witness,
-)
+from .chains import *
+from .derived import *
+from .graphs import *
+from .oracle import *
+from .rng import *
+from .search import *
+from .witness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHAIN_FORMAT",
-    "DGRAPH_FORMAT",
-    "DifferenceGraph",
-    "FAMILY_CUTOFF",
-    "FAMILY_FORMAT",
-    "FamilyReport",
-    "Graph",
-    "GraphChain",
-    "MAX_VERTICES",
-    "METHODS",
-    "ORACLE_FORMAT",
-    "OracleReport",
-    "RECORD_FORMAT",
-    "SINGLE_STEP",
-    "SearchConfig",
-    "SearchRecord",
-    "SplitMix64",
-    "StepDistribution",
-    "THEOREM_FORMAT",
-    "TheoremReport",
-    "WITNESS_FORMAT",
-    "WitnessSet",
-    "alon_guarantee",
-    "alon_witness",
-    "append_record",
-    "best_witness",
-    "build_difference_graph",
-    "certify_difference_graph",
-    "check_independent",
-    "difference_graph_from_edges",
-    "edge_difference",
-    "enumerate_chains",
-    "family_has_clique_pair",
-    "find_triangle",
-    "greedy_good_witness",
-    "greedy_guarantee",
-    "is_clique",
-    "is_subgraph",
-    "load_records",
-    "local_search_min_ratio",
-    "make_graph",
-    "max_cliquepair_free_family",
-    "max_independent_set",
-    "neighbor_counts",
-    "random_chain",
-    "read_chain",
-    "read_difference_graph",
-    "read_witness",
-    "relabel_chain",
-    "reverse_chain",
-    "select_triples",
-    "verify_lemma_123",
-    "verify_lemma_abcd",
-    "verify_theorem_exhaustive",
-    "write_chain",
-    "write_difference_graph",
-    "write_family_report",
-    "write_oracle_report",
-    "write_record",
-    "write_theorem_report",
-    "write_witness",
-]
+__all__ = (chains.__all__ + derived.__all__ + graphs.__all__ + oracle.__all__
+           + rng.__all__ + search.__all__ + witness.__all__)

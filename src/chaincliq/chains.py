@@ -26,6 +26,19 @@ from typing import Iterator, Sequence
 from .graphs import Graph, _bits, _check_vertex_count, _slot_index, _slot_pairs
 from .rng import SplitMix64
 
+__all__ = [
+    "CHAIN_FORMAT",
+    "GraphChain",
+    "SINGLE_STEP",
+    "StepDistribution",
+    "enumerate_chains",
+    "random_chain",
+    "read_chain",
+    "relabel_chain",
+    "reverse_chain",
+    "write_chain",
+]
+
 CHAIN_FORMAT = "chaincliq-chain-v2"
 _CHAIN_FORMAT_V1 = "chaincliq-chain-v1"  # still read, no longer written
 
@@ -36,7 +49,7 @@ _TWO64 = 1 << 64
 class StepDistribution:
     """Step-size policy for random chain growth.
 
-    kind "single" adds exactly one edge per step. kind "geometric" adds
+    kind "single" (p = 1 only) adds one edge per step. kind "geometric" adds
     1 + Geometric(p) edges, where p is the per-trial success probability;
     batches are clamped so the chain always reaches its target length.
     """
@@ -49,6 +62,8 @@ class StepDistribution:
             raise ValueError(f"unknown step distribution kind {self.kind!r}")
         if not isinstance(self.p, Real) or isinstance(self.p, bool) or not 0.0 < self.p <= 1.0:
             raise ValueError(f"step probability must be a real number in (0, 1], got {self.p!r}")
+        if self.kind == "single" and self.p != 1:
+            raise ValueError(f"kind 'single' takes no step probability, got p={self.p!r}")
 
 
 SINGLE_STEP = StepDistribution("single")

@@ -33,22 +33,44 @@ from typing import Iterable, Sequence
 from .chains import GraphChain, _parse_json, _tagged
 from .graphs import MAX_VERTICES, _TRIANGLE_SIDE, _bits, _slot_vertex_masks
 
+__all__ = [
+    "DGRAPH_FORMAT",
+    "DifferenceGraph",
+    "build_difference_graph",
+    "difference_graph_from_edges",
+    "find_triangle",
+    "neighbor_counts",
+    "read_difference_graph",
+    "verify_lemma_123",
+    "verify_lemma_abcd",
+    "write_difference_graph",
+]
+
 DGRAPH_FORMAT = "chaincliq-dgraph-v1"
+
+
+def _check_index_count(r: object) -> None:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise ValueError(f"index count must be a positive integer, got {r!r}")
+    longest = comb(MAX_VERTICES, 2) + 1  # a strict chain gains an edge at every step
+    if r > longest:
+        raise ValueError(f"index count {r} exceeds the longest chain length {longest}")
 
 
 @dataclass(frozen=True)
 class DifferenceGraph:
     """Symmetric, irreflexive adjacency over indices 1..r, and nothing else.
 
-    adj[i] is a bitmask over 0-based indices and r = len(adj). Build via
-    build_difference_graph or difference_graph_from_edges; rows that are
-    not such a graph raise ValueError.
+    adj[i] is a bitmask over 0-based indices and r = len(adj) is a chain
+    length, in [1, C(64, 2) + 1]. Build via build_difference_graph or
+    difference_graph_from_edges; other counts and rows raise ValueError.
     """
 
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
         adj = self.adj
+        _check_index_count(len(adj))
         bound = 1 << len(adj)
         for i, row in enumerate(adj, 1):
             if type(row) is not int or not 0 <= row < bound:
@@ -119,8 +141,8 @@ def _adjacency_from_steps(steps: Sequence[int], counts: Sequence[int]) -> list[i
     return adj
 
 
-def _difference_adjacency(n: int, masks: Sequence[int]) -> list[int]:
-    """Adjacency of the difference graph of the strictly nested edge masks."""
+def _step_supports(n: int, masks: Sequence[int]) -> list[int]:
+    """steps for _adjacency_from_steps: 0, then the vertex support of masks[k] minus masks[k-1]."""
     vmasks = _slot_vertex_masks(n)
     steps = [0]
     for prev, mask in zip(masks, masks[1:]):
@@ -131,7 +153,55 @@ def _difference_adjacency(n: int, masks: Sequence[int]) -> list[int]:
             support |= vmasks[low.bit_length() - 1]
             step ^= low
         steps.append(support)
-    return _adjacency_from_steps(steps, list(map(int.bit_count, masks)))
+    return steps
+
+
+def _difference_adjacency(n: int, masks: Sequence[int]) -> list[int]:
+    """Adjacency of the difference graph of the strictly nested edge masks."""
+    return _adjacency_from_steps(_step_supports(n, masks), list(map(int.bit_count, masks)))
+
+
+def _moved_adjacency(
+    adj: list[int], steps: list[int], counts: list[int], a: int, b: int
+) -> list[int]:
+    """The difference-graph adjacency after a move that edits G_a..G_(b-1) alike.
+
+    adj is the adjacency before the move; steps and counts describe the chain
+    after it, as _adjacency_from_steps reads them. The move must take the
+    same edges out of each of G_a..G_(b-1), put the same edges in, and leave
+    every other graph as it was. A swap of entry steps a < b does that, and so does a
+    resplit, which changes G_a alone (b = a + 1). Then G_j minus G_i is
+    unchanged when i < j lie both inside [a, b) or both outside it, and only
+    the pairs with exactly one index inside are tested again. They form two
+    blocks, i < a <= j < b and a <= i < b <= j. With h the block's split
+    point (a, then b), the difference spans the OR of steps i+1..h-1 and of
+    steps h..j, so a pair costs one OR and one lookup, as in
+    _adjacency_from_steps. adj is never changed, and a == b returns it.
+    """
+    if a == b:
+        return adj
+    inner = (1 << b) - (1 << a)
+    out = [row & ~inner for row in adj]
+    out[a:b] = [row & inner for row in adj[a:b]]
+    side = _TRIANGLE_SIDE.get
+    for lo, h, hi in ((0, a, b), (a, b, len(adj))):
+        below = []  # (i, counts[i], OR of steps i+1..h-1) for i = h-1 down to lo
+        low = 0
+        for i in range(h - 1, lo - 1, -1):
+            below.append((i, counts[i], low))
+            low |= steps[i]
+        run = 0  # OR of steps h..j
+        for j in range(h, hi):
+            run |= steps[j]
+            cj = counts[j]
+            row = 0
+            for i, ci, span in below:
+                t = side(cj - ci)
+                if t is not None and (span | run).bit_count() == t:
+                    row |= 1 << i
+                    out[i] |= 1 << j
+            out[j] |= row
+    return out
 
 
 def build_difference_graph(c: GraphChain) -> DifferenceGraph:
@@ -145,11 +215,7 @@ def build_difference_graph(c: GraphChain) -> DifferenceGraph:
 
 def difference_graph_from_edges(r: int, edges: Iterable[tuple[int, int]]) -> DifferenceGraph:
     """Assemble a DifferenceGraph from explicit index pairs (mainly for tests and IO)."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"index count must be a positive integer, got {r!r}")
-    longest = comb(MAX_VERTICES, 2) + 1  # a strict chain gains an edge at every step
-    if r > longest:
-        raise ValueError(f"index count {r} exceeds the longest chain length {longest}")
+    _check_index_count(r)
     adj = [0] * r
     for e in edges:
         if not isinstance(e, (tuple, list)) or len(e) != 2:

@@ -17,6 +17,15 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
+__all__ = [
+    "Graph",
+    "MAX_VERTICES",
+    "edge_difference",
+    "is_clique",
+    "is_subgraph",
+    "make_graph",
+]
+
 MAX_VERTICES = 64
 
 # t(t-1)/2 -> t: the only edge count at which a set spanning t vertices is a clique

@@ -35,6 +35,24 @@ from .derived import (
 from .graphs import Graph, _bits, _check_vertex_count, _clique_support_mask
 from .witness import alon_guarantee, alon_witness, greedy_good_witness
 
+__all__ = [
+    "FAMILY_CUTOFF",
+    "FAMILY_FORMAT",
+    "FamilyReport",
+    "ORACLE_FORMAT",
+    "OracleReport",
+    "THEOREM_FORMAT",
+    "TheoremReport",
+    "certify_difference_graph",
+    "family_has_clique_pair",
+    "max_cliquepair_free_family",
+    "max_independent_set",
+    "verify_theorem_exhaustive",
+    "write_family_report",
+    "write_oracle_report",
+    "write_theorem_report",
+]
+
 ORACLE_FORMAT = "chaincliq-oracle-v1"
 THEOREM_FORMAT = "chaincliq-theorem-v1"
 FAMILY_FORMAT = "chaincliq-family-v1"

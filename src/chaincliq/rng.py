@@ -8,6 +8,8 @@ contract, this one is.
 
 from __future__ import annotations
 
+__all__ = ["SplitMix64"]
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -46,11 +46,20 @@ from .chains import (
     _tagged,
     random_chain,
 )
-from .derived import _adjacency_from_steps, build_difference_graph
-from .graphs import _TRIANGLE_SIDE, _slot_vertex_masks
+from .derived import _adjacency_from_steps, _moved_adjacency, _step_supports, build_difference_graph
 from .oracle import _mis_bitset, max_independent_set
 from .rng import _MASK64, SplitMix64
 from .witness import alon_guarantee
+
+__all__ = [
+    "RECORD_FORMAT",
+    "SearchConfig",
+    "SearchRecord",
+    "append_record",
+    "load_records",
+    "local_search_min_ratio",
+    "write_record",
+]
 
 RECORD_FORMAT = "chaincliq-record-v1"
 
@@ -103,49 +112,6 @@ def _chain_masks(edges: list[int], first: list[int], r: int) -> list[int]:
     return masks
 
 
-def _moved_adjacency(
-    adj: list[int], steps: list[int], counts: list[int], a: int, b: int
-) -> list[int]:
-    """The difference-graph adjacency after a move that edits G_a..G_(b-1) alike.
-
-    adj is the adjacency before the move; steps and counts describe the chain
-    after it, as _adjacency_from_steps reads them. The move must take the
-    same edges out of each of G_a..G_(b-1), put the same edges in, and leave
-    every other graph as it was. A swap of entry steps a < b does that, and so does a
-    resplit, which changes G_a alone (b = a + 1). Then G_j minus G_i is
-    unchanged when i < j lie both inside [a, b) or both outside it, and only
-    the pairs with exactly one index inside are tested again. They form two
-    blocks, i < a <= j < b and a <= i < b <= j. With h the block's split
-    point (a, then b), the difference spans the OR of steps i+1..h-1 and of
-    steps h..j, so a pair costs one OR and one lookup, as in
-    _adjacency_from_steps. adj is never changed, and a == b returns it.
-    """
-    if a == b:
-        return adj
-    inner = (1 << b) - (1 << a)
-    out = [row & ~inner for row in adj]
-    out[a:b] = [row & inner for row in adj[a:b]]
-    side = _TRIANGLE_SIDE.get
-    for lo, h, hi in ((0, a, b), (a, b, len(adj))):
-        below = []  # (i, counts[i], OR of steps i+1..h-1) for i = h-1 down to lo
-        low = 0
-        for i in range(h - 1, lo - 1, -1):
-            below.append((i, counts[i], low))
-            low |= steps[i]
-        run = 0  # OR of steps h..j
-        for j in range(h, hi):
-            run |= steps[j]
-            cj = counts[j]
-            row = 0
-            for i, ci, span in below:
-                t = side(cj - ci)
-                if t is not None and (span | run).bit_count() == t:
-                    row |= 1 << i
-                    out[i] |= 1 << j
-            out[j] |= row
-    return out
-
-
 def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> SearchRecord:
     """Seeded descent from a random chain, returning the best record seen.
 
@@ -157,8 +123,7 @@ def local_search_min_ratio(cfg: SearchConfig, timestamp: str | None = None) -> S
     entering = [(masks[s] & ~masks[s - 1]).bit_length() - 1 for s in range(1, cfg.r)]
     first = sorted(range(1, cfg.r), key=lambda s: entering[s - 1])  # in slot order
     edges = [entering[s - 1] for s in first]
-    vmasks = _slot_vertex_masks(cfg.n)
-    steps = [0] + [vmasks[e] for e in entering]
+    steps = _step_supports(cfg.n, masks)
     counts = list(range(cfg.r))
     current_adj = _adjacency_from_steps(steps, counts)
     current_alpha = _mis_bitset(current_adj)[0]

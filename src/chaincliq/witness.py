@@ -37,6 +37,21 @@ from typing import Iterable
 from .chains import _parse_json, _tagged
 from .derived import DifferenceGraph, _side_counts
 
+__all__ = [
+    "METHODS",
+    "WITNESS_FORMAT",
+    "WitnessSet",
+    "alon_guarantee",
+    "alon_witness",
+    "best_witness",
+    "check_independent",
+    "greedy_good_witness",
+    "greedy_guarantee",
+    "read_witness",
+    "select_triples",
+    "write_witness",
+]
+
 WITNESS_FORMAT = "chaincliq-witness-v1"
 
 METHODS = ("greedy-good", "alon-triples", "singleton-fallback")

@@ -210,6 +210,12 @@ class TestRandomChain:
         with pytest.raises(ValueError, match="kind"):
             StepDistribution("uniform")
 
+    @pytest.mark.parametrize("p", [0.3, 0.999])
+    def test_single_step_refuses_a_probability_other_than_one(self, p):
+        with pytest.raises(ValueError, match=rf"kind 'single' takes no step probability, got p={p}"):
+            StepDistribution("single", p)
+        assert StepDistribution("single", 1) == StepDistribution("single", 1.0) == SINGLE_STEP
+
     @pytest.mark.parametrize("p", ["x", "0.5", None, True, [0.5]])
     def test_non_real_probability_is_a_value_error(self, p):
         with pytest.raises(ValueError, match="probability"):

@@ -74,7 +74,8 @@ class TestGen:
         assert "seed" in capsys.readouterr().err
 
     def test_bad_step_dist_is_a_usage_error(self):
-        assert run_cli(["gen", "--n", "3", "--r", "2", "--step-dist", "zipf"]) == 2
+        for dist in ("zipf", "geometric:abc", "geometric:2"):
+            assert run_cli(["gen", "--n", "3", "--r", "2", "--step-dist", dist]) == 2
 
     def test_default_step_dist_is_the_shared_single_step(self, tmp_path):
         assert cli._build_parser().parse_args(["gen", "--n", "3", "--r", "2"]).step_dist is SINGLE_STEP
@@ -263,6 +264,42 @@ class TestVerify:
         assert summary["checks"][0] == {
             "name": "lemma-abcd", "pass": False, "detail": "violation (1, 2, 3, 4)"
         }
+
+    def search_records(self, tmp_path, capsys, seeds=(3,)):
+        records = tmp_path / "records.ldjson"
+        for seed in seeds:
+            assert run_cli(["search", "--n", "4", "--r", "5", "--budget", "20",
+                            "--seed", str(seed), "--out", str(records)]) == 0
+        capsys.readouterr()
+        return records
+
+    def assert_refused(self, path, capsys, message):
+        assert run_cli(["verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_pretty_record_is_refused(self, tmp_path, capsys):
+        records = self.search_records(tmp_path, capsys)
+        records.write_text(json.dumps(json.loads(records.read_text()), indent=2) + "\n")
+        self.assert_refused(records, capsys, "error: line 1: malformed JSON")
+
+    def test_blank_line_between_records_is_refused(self, tmp_path, capsys):
+        records = self.search_records(tmp_path, capsys, seeds=(3, 4))
+        first, second = records.read_text().splitlines()
+        records.write_text(f"{first}\n\n{second}\n")
+        self.assert_refused(records, capsys, "error: line 2: empty line in records file")
+
+    def test_record_with_alpha_zero_is_refused(self, tmp_path, capsys):
+        records = self.search_records(tmp_path, capsys)
+        doc = json.loads(records.read_text())
+        doc["alpha"] = 0
+        records.write_text(json.dumps(doc) + "\n")
+        self.assert_refused(records, capsys, "line 1: field 'alpha' must be an integer in [1, 5]")
+
+    def test_document_that_is_not_an_object_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]\n")
+        self.assert_refused(path, capsys, "error: chain document must be a JSON object")
 
     def test_each_records_line_is_decoded_once(self, tmp_path, capsys, monkeypatch):
         records = tmp_path / "records.ldjson"

@@ -356,6 +356,21 @@ class TestDifferenceGraphSerialization:
         with pytest.raises(ValueError, match="format tag"):
             read_difference_graph(json.dumps({"format": "x", "r": 2, "edges": []}))
 
+    @given(adjacencies())
+    def test_round_trip_of_any_graph(self, dg):
+        assert read_difference_graph(write_difference_graph(dg)) == dg
+
+    @pytest.mark.parametrize("r,message", [
+        (0, "index count must be a positive integer, got 0"),
+        (2018, "index count 2018 exceeds the longest chain length 2017"),
+    ])
+    def test_constructor_and_assembler_refuse_the_same_index_counts(self, r, message):
+        with pytest.raises(ValueError, match=message):
+            DifferenceGraph((0,) * r)
+        with pytest.raises(ValueError, match=message):
+            difference_graph_from_edges(r, [])
+        assert DifferenceGraph((0,) * 2017) == difference_graph_from_edges(2017, [])
+
     def test_index_count_is_bounded_by_the_longest_chain(self):
         assert difference_graph_from_edges(2017, [(1, 2017)]).r == 2017  # C(64, 2) + 1
         for r in (2018, 10**12):
@@ -371,6 +386,16 @@ class TestDifferenceGraphSerialization:
             read_difference_graph(json.dumps({**base, "edges": [[1, 4]]}))
         with pytest.raises(ValueError, match="duplicate"):
             read_difference_graph(json.dumps({**base, "edges": [[1, 2], [1, 2]]}))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("edges", 5, "field 'edges' must be a list"),
+        ("r", "3", "index count must be a positive integer, got '3'"),
+        ("edges", [[1, "2"]], r"index pair \(1, '2'\) must be integers"),
+    ])
+    def test_rejects_mistyped_fields(self, field, value, message):
+        doc = {"format": "chaincliq-dgraph-v1", "r": 3, "edges": [], field: value}
+        with pytest.raises(ValueError, match=message):
+            read_difference_graph(json.dumps(doc))
 
     @pytest.mark.parametrize("item", [5, (1, 2, 3), (1,), None])
     def test_index_pair_must_be_a_pair(self, item):

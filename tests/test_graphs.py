@@ -49,6 +49,10 @@ class TestMakeGraph:
         with pytest.raises(ValueError, match=rf"edge {re.escape(repr(item))} must be a pair"):
             make_graph(3, [item])
 
+    def test_rejects_non_integer_endpoint(self):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\.0\) must have integer endpoints"):
+            make_graph(3, [(1, 2.0)])
+
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError, match="positive integer"):
             make_graph(0, [])

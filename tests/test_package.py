@@ -1,12 +1,15 @@
 """The package exports exactly the public names its modules define.
 
-The package, the bench harness and the demos import only the stdlib.
+The package, the bench harness and the demos import only the stdlib, and
+every source parses under the oldest supported Python, 3.10.
 """
 
 import ast
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import chaincliq
 
@@ -33,6 +36,24 @@ def test_all_is_the_public_names_of_the_library_modules():
         defined |= public_definitions(importlib.import_module(f"chaincliq.{name}"))
     assert sorted(chaincliq.__all__) == sorted(defined)
     assert all(hasattr(chaincliq, name) for name in chaincliq.__all__)
+
+
+def test_each_module_exports_exactly_its_own_public_definitions():
+    for name in MODULES:
+        module = importlib.import_module(f"chaincliq.{name}")
+        assert sorted(module.__all__) == sorted(public_definitions(module)), name
+
+
+def test_every_source_parses_as_python_3_10():
+    repo = Path(__file__).resolve().parents[1]
+    sources = [path for part in ("src", "tests", "bench", "demos")
+               for path in sorted((repo / part).rglob("*.py"))]
+    assert len(sources) > 20
+    for source in sources:
+        ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
+    for newer in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "type X = int\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(newer, feature_version=(3, 10))
 
 
 def test_every_import_is_relative_or_stdlib():

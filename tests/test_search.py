@@ -29,10 +29,9 @@ from chaincliq import (
 )
 from chaincliq import search
 from chaincliq.chains import SINGLE_STEP, StepDistribution
-from chaincliq.derived import _difference_adjacency
+from chaincliq.derived import _difference_adjacency, _moved_adjacency
 from chaincliq.graphs import _bits, _slot_vertex_masks
 from chaincliq.oracle import _mis_bitset
-from chaincliq.search import _moved_adjacency
 
 from strategies import chain_digest, chains
 
